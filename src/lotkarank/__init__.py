@@ -1,6 +1,5 @@
 """tf-idf retrieval with informetric (power-law entity-frequency) re-ranking."""
 
-from . import _kernel
 from .corpus import CorpusError, DocumentRecord, load_corpus, parse_corpus, save_corpus, serialize_corpus, tokenize
 from .evaluation import (
     EvalReport,
@@ -35,8 +34,3 @@ from .rerank import (
 )
 
 __version__ = "0.1.0"
-
-
-def scoring_backend() -> str:
-    """Active scoring kernel: 'cython' (compiled) or 'python' (fallback)."""
-    return _kernel.backend_name()

@@ -31,7 +31,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--index", required=True)
     p_search.add_argument("--query", required=True)
     p_search.add_argument("--query-id", default="q")
-    p_search.add_argument("--top", type=int, default=10, help="entries to print (0 = all)")
+    p_search.add_argument("--top", type=int, default=10, help="entries to print (>= 0; 0 = all)")
 
     p_rerank = sub.add_parser("rerank", help="query, re-rank, and write a run file")
     p_rerank.add_argument("--index", required=True)
@@ -79,6 +79,8 @@ def _cmd_index(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    if args.top < 0:
+        raise ValueError(f"--top must be >= 0, got {args.top}")
     index = InvertedIndex.load(args.index)
     rs = search(args.query, index, query_id=args.query_id)
     entries = rs.entries if args.top == 0 else rs.entries[: args.top]
@@ -116,9 +118,8 @@ def _cmd_eval(args) -> int:
 
     report = run_evaluation(index, topics, qrels, configs)
     write_report(report, f"{args.out}.report.csv", f"{args.out}.report.txt")
-    for config in configs:
-        lists = [rerank(search(t.query_text, index, query_id=t.topic_id), config, index) for t in topics]
-        write_run_file(lists, f"{args.out}.{config.run_tag}.run")
+    for run in report.runs:
+        write_run_file(run.ranked, f"{args.out}.{run.tag}.run")
     print(f"topics={len(topics)} runs={len(configs)} report={args.out}.report.csv")
     return 0
 

@@ -121,6 +121,7 @@ class RunResult:
 
     tag: str
     per_topic: dict[str, TopicMetrics] = field(default_factory=dict)
+    ranked: list[RankedList] = field(default_factory=list)  # one per topic, in topic order
     macro_precision: dict[int, float] = field(default_factory=dict)
     retrieved: int = 0
     relevant_retrieved: int = 0
@@ -136,7 +137,7 @@ class EvalReport:
 
 
 def run_evaluation(index: InvertedIndex, topics, qrels: QrelSet, configs) -> EvalReport:
-    """Search + rerank every topic under every config and collect metrics.
+    """Search every topic once, rerank it under every config and collect metrics.
 
     Qrel topics that do not appear in the topic list are ignored; their
     count is reported. Deterministic: identical inputs give identical
@@ -147,15 +148,13 @@ def run_evaluation(index: InvertedIndex, topics, qrels: QrelSet, configs) -> Eva
     topic_ids = [topic.topic_id for topic in topics]
     unknown = qrels.topic_ids() - set(topic_ids)
 
-    ranked_by_config: list[dict[str, RankedList]] = []
+    result_sets = [search(topic.query_text, index, query_id=topic.topic_id) for topic in topics]
     runs = []
     for config in configs:
         run = RunResult(tag=config.run_tag)
-        ranked_lists = {}
-        for topic in topics:
-            rs = search(topic.query_text, index, query_id=topic.topic_id)
+        for topic, rs in zip(topics, result_sets):
             ranked = rerank(rs, config, index)
-            ranked_lists[topic.topic_id] = ranked
+            run.ranked.append(ranked)
             relevant = sum(
                 1 for doc_id, _, _ in ranked.entries if qrels.is_relevant(topic.topic_id, doc_id)
             )
@@ -174,15 +173,13 @@ def run_evaluation(index: InvertedIndex, topics, qrels: QrelSet, configs) -> Eva
         run.relevant_retrieved = sum(m.relevant_retrieved for m in run.per_topic.values())
         run.dropped = sum(m.dropped for m in run.per_topic.values())
         runs.append(run)
-        ranked_by_config.append(ranked_lists)
 
     overlaps = []
     for i in range(len(configs)):
         for j in range(i + 1, len(configs)):
             if topic_ids:
                 mean = sum(
-                    overlap_at_k(ranked_by_config[i][t], ranked_by_config[j][t], OVERLAP_K)
-                    for t in topic_ids
+                    overlap_at_k(a, b, OVERLAP_K) for a, b in zip(runs[i].ranked, runs[j].ranked)
                 ) / len(topic_ids)
             else:
                 mean = 0.0

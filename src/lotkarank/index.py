@@ -1,8 +1,7 @@
 """Inverted index and tf-idf retrieval.
 
-Scores are sums of tf * ln(N / df) over query tokens. The per-token
-accumulation over posting lists runs in the compiled kernel when
-available (see _kernel).
+Scores are sums of tf * ln(N / df) over query tokens, accumulated one
+query token at a time over that token's posting list.
 """
 import math
 import pickle
@@ -11,7 +10,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernel
 from .corpus import DocumentRecord, tokenize
 
 _PICKLE_PROTOCOL = 4
@@ -58,7 +56,7 @@ class InvertedIndex:
                 self.postings.setdefault(term, []).append((rec.doc_id, counts[term]))
         self.doc_freq = {term: len(plist) for term, plist in self.postings.items()}
 
-        # dense mirrors consumed by the scoring kernel
+        # dense mirrors consumed by search and tfidf_score
         doc_pos = {doc_id: i for i, doc_id in enumerate(self._doc_ids)}
         self._term_docs: dict[str, np.ndarray] = {}
         self._term_tfs: dict[str, np.ndarray] = {}
@@ -122,7 +120,7 @@ def tfidf_score(query_tokens, doc_id: str, index: InvertedIndex) -> float:
 def search(query: str, index: InvertedIndex, query_id: str = "q") -> ResultSet:
     """Retrieve every document with positive tf-idf score for the query.
 
-    Runs on the active scoring kernel; ties are broken by doc_id ascending.
+    Ties are broken by doc_id ascending.
     """
     tokens = tokenize(query)
     scores = None
@@ -133,7 +131,8 @@ def search(query: str, index: InvertedIndex, query_id: str = "q") -> ResultSet:
         if scores is None:
             scores = np.zeros(index.corpus_size, dtype=np.float64)
         idf = math.log(index.corpus_size / index.doc_freq[token])
-        _kernel.add_scaled(scores, docs, index._term_tfs[token], idf)
+        # exactly scores[d] += tf * idf per posting: a term's postings name each document once
+        scores[docs] += index._term_tfs[token] * idf
     if scores is None:
         return ResultSet(query_id=query_id)
     positions = np.flatnonzero(scores > 0.0)

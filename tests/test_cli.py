@@ -87,6 +87,15 @@ def test_search_command_top_limits_output(tmp_path, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 2
 
 
+def test_search_command_rejects_negative_top(tmp_path, capsys):
+    idx = _indexed_tiny(tmp_path)
+    capsys.readouterr()
+    assert main(["search", "--index", str(idx), "--query", "quake", "--top", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --top must be >= 0, got -1\n"
+
+
 def test_rerank_command_writes_run_file(tmp_path, capsys):
     idx = _indexed_tiny(tmp_path)
     out = tmp_path / "brad.run"

@@ -4,6 +4,7 @@ import pytest
 
 from helpers import make_topic_suite, qrels_lines, random_small_corpus, topics_lines
 from oracle import naive_overlap, naive_precision, naive_rerank, naive_search
+from lotkarank import evaluation
 from lotkarank.evaluation import (
     PRECISION_CUTOFFS,
     QrelSet,
@@ -16,7 +17,7 @@ from lotkarank.evaluation import (
     report_table,
     run_evaluation,
 )
-from lotkarank.index import build_index
+from lotkarank.index import build_index, search
 from lotkarank.informetrics import EntityField
 from lotkarank.rerank import Mode, RankedList, RankingConfig
 
@@ -239,12 +240,15 @@ def test_run_evaluation_matches_independent_metric_computation():
 
     mode_names = ["tfidf", "lotka", "combined"]
     naive_lists = {}
-    for topic in suite.topics:
+    for i, topic in enumerate(suite.topics):
         base = naive_search(suite.records, topic.query_text)
         relevant = {d for (t, d), g in suite.judgments.items() if t == topic.topic_id and g > 0}
         for run, mode_name in zip(report.runs, mode_names):
             entries, dropped = naive_rerank(suite.records, base, mode_name, "author", 1.0)
             naive_lists[(topic.topic_id, run.tag)] = entries
+            ranked = run.ranked[i]
+            assert ranked.query_id == topic.topic_id
+            assert [(d, r) for d, _, r in ranked.entries] == [(d, r) for d, _, r in entries]
             metrics = run.per_topic[topic.topic_id]
             assert metrics.retrieved == len(entries)
             assert metrics.dropped == dropped
@@ -260,6 +264,24 @@ def test_run_evaluation_matches_independent_metric_computation():
             for t in report.topic_ids
         ) / len(report.topic_ids)
         assert mean == manual
+
+
+def test_run_evaluation_searches_each_topic_once(monkeypatch):
+    suite = make_topic_suite(n_topics=3, docs_per_topic=10, star_docs=4, seed=12)
+    index = build_index(suite.records)
+    searched = []
+
+    def counting_search(query, idx, query_id="q"):
+        searched.append(query_id)
+        return search(query, idx, query_id=query_id)
+
+    monkeypatch.setattr(evaluation, "search", counting_search)
+    configs = [RankingConfig(mode=Mode.TFIDF), RankingConfig(mode=Mode.LOTKA), RankingConfig(mode=Mode.BRADFORD)]
+    report = run_evaluation(index, suite.topics, QrelSet(suite.judgments), configs)
+    topic_ids = [topic.topic_id for topic in suite.topics]
+    assert searched == topic_ids
+    for run in report.runs:
+        assert [ranked.query_id for ranked in run.ranked] == topic_ids
 
 
 def test_report_csv_shape_and_determinism():

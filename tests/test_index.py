@@ -143,6 +143,26 @@ def test_search_matches_oracle_on_random_corpora():
             assert abs(got - want) <= 1e-9
 
 
+def test_search_scores_equal_per_posting_loop_exactly():
+    rng = random.Random(31)
+    cases = [random_small_corpus(rng) for _ in range(30)]
+    records, _ = cases[0]
+    token = records[0].title.split()[0]
+    cases.append((records, f"{token} zzz {token} {token}"))  # repeated query token
+    for records, query in cases:
+        index = build_index(records)
+        # reference: one multiply and one add per posting, in query-token order
+        expected = {}
+        for term in naive_tokenize(query):
+            for doc_id, tf in index.postings.get(term, ()):
+                idf = math.log(index.corpus_size / index.doc_freq[term])
+                expected[doc_id] = expected.get(doc_id, 0.0) + tf * idf
+        ranked = sorted((-score, doc_id) for doc_id, score in expected.items() if score > 0.0)
+        assert search(query, index).entries == [
+            (doc_id, -neg, rank) for rank, (neg, doc_id) in enumerate(ranked, start=1)
+        ]  # exact float equality intended
+
+
 def test_search_ordering_equals_tfidf_score_ordering():
     rng = random.Random(5)
     records, query = random_small_corpus(rng)
