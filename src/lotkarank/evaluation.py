@@ -139,14 +139,19 @@ class EvalReport:
 def run_evaluation(index: InvertedIndex, topics, qrels: QrelSet, configs) -> EvalReport:
     """Search every topic once, rerank it under every config and collect metrics.
 
-    Qrel topics that do not appear in the topic list are ignored; their
-    count is reported. Deterministic: identical inputs give identical
-    reports.
+    Topic ids must be unique. Qrel topics that do not appear in the topic
+    list are ignored; their count is reported. Deterministic: identical
+    inputs give identical reports.
     """
     if not configs:
         raise ValueError("at least one ranking config is required")
     topic_ids = [topic.topic_id for topic in topics]
-    unknown = qrels.topic_ids() - set(topic_ids)
+    seen = set()
+    for topic_id in topic_ids:
+        if topic_id in seen:  # per_topic is keyed by id: a second topic would overwrite the first
+            raise ValueError(f"duplicate topic_id {topic_id!r}")
+        seen.add(topic_id)
+    unknown = qrels.topic_ids() - seen
 
     result_sets = [search(topic.query_text, index, query_id=topic.topic_id) for topic in topics]
     runs = []

@@ -2,9 +2,15 @@
 
 Scores are sums of tf * ln(N / df) over query tokens, accumulated one
 query token at a time over that token's posting list.
+
+The postings are one CSR table: row r of term t (``_term_ids[t]``) spans
+``_ptr[r]:_ptr[r + 1]`` of the flat ``_docs`` (int32 doc positions in
+doc_id order) and ``_tfs`` (int32 term counts) arrays, and df is the row
+length. ``InvertedIndex.postings(term)`` is the one way to read a row.
 """
 import math
 import pickle
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -13,6 +19,8 @@ import numpy as np
 from .corpus import DocumentRecord, tokenize
 
 _PICKLE_PROTOCOL = 4
+# layout of a saved index; bump when the pickled attributes change
+_FORMAT = "csr-1"
 
 
 @dataclass
@@ -48,34 +56,45 @@ class InvertedIndex:
             self.doc_table[rec.doc_id] = rec
         self.corpus_size = len(ordered)
         self._doc_ids = [rec.doc_id for rec in ordered]
+        self._format = _FORMAT
 
-        self.postings: dict[str, list[tuple[str, int]]] = {}
-        for pos, rec in enumerate(ordered):
+        # one (row, tf) pair per distinct term of each document, in doc order
+        self._term_ids: dict[str, int] = {}
+        rows, tfs, lengths = [], [], []
+        for rec in ordered:
             counts = Counter(tokenize(rec.title) + tokenize(rec.body))
-            for term in counts:
-                self.postings.setdefault(term, []).append((rec.doc_id, counts[term]))
-        self.doc_freq = {term: len(plist) for term, plist in self.postings.items()}
+            rows.extend(self._term_ids.setdefault(term, len(self._term_ids)) for term in counts)
+            tfs.extend(counts.values())
+            lengths.append(len(counts))
+        rows = np.array(rows, dtype=np.int64)
+        # a stable sort by row keeps each row's postings in doc order
+        order = np.argsort(rows, kind="stable")
+        self._docs = np.repeat(np.arange(self.corpus_size, dtype=np.int32), lengths)[order]
+        self._tfs = np.array(tfs, dtype=np.int32)[order]
+        self._ptr = np.zeros(len(self._term_ids) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=len(self._term_ids)), out=self._ptr[1:])
 
-        # dense mirrors consumed by search and tfidf_score
-        doc_pos = {doc_id: i for i, doc_id in enumerate(self._doc_ids)}
-        self._term_docs: dict[str, np.ndarray] = {}
-        self._term_tfs: dict[str, np.ndarray] = {}
-        for term, plist in self.postings.items():
-            self._term_docs[term] = np.array([doc_pos[d] for d, _ in plist], dtype=np.int32)
-            self._term_tfs[term] = np.array([tf for _, tf in plist], dtype=np.float64)
-        self._doc_pos = doc_pos
+    def postings(self, term: str):
+        """(doc positions, tfs) of the term, sorted by doc_id; None if not indexed."""
+        row = self._term_ids.get(term)
+        if row is None:
+            return None
+        start, stop = self._ptr[row], self._ptr[row + 1]
+        return self._docs[start:stop], self._tfs[start:stop]
 
     def __eq__(self, other):
         if not isinstance(other, InvertedIndex):
             return NotImplemented
         return (
-            self.postings == other.postings
-            and self.doc_freq == other.doc_freq
+            self._term_ids == other._term_ids
+            and np.array_equal(self._ptr, other._ptr)
+            and np.array_equal(self._docs, other._docs)
+            and np.array_equal(self._tfs, other._tfs)
             and self.doc_table == other.doc_table
         )
 
     def term_count(self) -> int:
-        return len(self.postings)
+        return len(self._term_ids)
 
     def save(self, path):
         with open(path, "wb") as fout:
@@ -83,10 +102,16 @@ class InvertedIndex:
 
     @classmethod
     def load(cls, path) -> "InvertedIndex":
+        rebuild = "rebuild it with `lotkarank index`"
         with open(path, "rb") as fin:
-            index = pickle.load(fin)
+            try:
+                index = pickle.load(fin)
+            except Exception as exc:  # corrupt pickle bytes can raise almost any exception type
+                raise ValueError(f"{path} is not a readable index ({exc}); {rebuild}") from exc
         if not isinstance(index, cls):
-            raise ValueError(f"{path} does not contain an index")
+            raise ValueError(f"{path} does not contain an index; {rebuild}")
+        if getattr(index, "_format", None) != _FORMAT:
+            raise ValueError(f"{path} holds an index in an older layout; {rebuild}")
         return index
 
 
@@ -103,17 +128,18 @@ def tfidf_score(query_tokens, doc_id: str, index: InvertedIndex) -> float:
     """
     if doc_id not in index.doc_table:
         raise KeyError(f"unknown doc_id {doc_id!r}")
-    pos = index._doc_pos[doc_id]
+    pos = bisect_left(index._doc_ids, doc_id)
     total = 0.0
     for token in query_tokens:
-        docs = index._term_docs.get(token)
-        if docs is None:
+        hit = index.postings(token)
+        if hit is None:
             continue
+        docs, tfs = hit
         i = np.searchsorted(docs, pos)
         if i == len(docs) or docs[i] != pos:
             continue
-        idf = math.log(index.corpus_size / index.doc_freq[token])
-        total += index._term_tfs[token][i] * idf
+        idf = math.log(index.corpus_size / len(docs))
+        total += tfs[i] * idf
     return total
 
 
@@ -125,14 +151,16 @@ def search(query: str, index: InvertedIndex, query_id: str = "q") -> ResultSet:
     tokens = tokenize(query)
     scores = None
     for token in tokens:
-        docs = index._term_docs.get(token)
-        if docs is None:
+        hit = index.postings(token)
+        if hit is None:
             continue
+        docs, tfs = hit
         if scores is None:
             scores = np.zeros(index.corpus_size, dtype=np.float64)
-        idf = math.log(index.corpus_size / index.doc_freq[token])
-        # exactly scores[d] += tf * idf per posting: a term's postings name each document once
-        scores[docs] += index._term_tfs[token] * idf
+        idf = math.log(index.corpus_size / len(docs))
+        # exactly scores[d] += tf * idf per posting: a term's postings name each document once,
+        # and each int32 tf converts to float64 exactly before the multiply
+        scores[docs] += tfs * idf
     if scores is None:
         return ResultSet(query_id=query_id)
     positions = np.flatnonzero(scores > 0.0)

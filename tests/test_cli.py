@@ -96,6 +96,19 @@ def test_search_command_rejects_negative_top(tmp_path, capsys):
     assert captured.err == "error: --top must be >= 0, got -1\n"
 
 
+def test_search_command_rejects_truncated_index(tmp_path, capsys):
+    idx = _indexed_tiny(tmp_path)
+    idx.write_bytes(idx.read_bytes()[:-40])
+    capsys.readouterr()
+    assert main(["search", "--index", str(idx), "--query", "quake"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: {idx} is not a readable index (")
+    assert lines[0].endswith("rebuild it with `lotkarank index`")
+
+
 def test_rerank_command_writes_run_file(tmp_path, capsys):
     idx = _indexed_tiny(tmp_path)
     out = tmp_path / "brad.run"

@@ -195,6 +195,14 @@ def test_run_evaluation_requires_configs():
         run_evaluation(index, suite.topics, QrelSet(suite.judgments), [])
 
 
+def test_run_evaluation_rejects_duplicate_topic_ids():
+    suite = make_topic_suite(n_topics=1, docs_per_topic=5, star_docs=2, seed=5)
+    index = build_index(suite.records)
+    topics = [Topic(topic_id="t1", query_text="a"), Topic(topic_id="t1", query_text="b")]
+    with pytest.raises(ValueError, match="duplicate topic_id 't1'"):
+        run_evaluation(index, topics, QrelSet(suite.judgments), [RankingConfig(mode=Mode.TFIDF)])
+
+
 def test_run_evaluation_identical_configs_have_full_overlap():
     suite = make_topic_suite(n_topics=3, docs_per_topic=15, star_docs=5, seed=6)
     index = build_index(suite.records)

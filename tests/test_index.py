@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from helpers import random_small_corpus
@@ -13,10 +14,16 @@ def _doc(doc_id, title, body="", **kwargs):
     return DocumentRecord(doc_id=doc_id, title=title, body=body, **kwargs)
 
 
+def _plist(index, term):
+    """The term's postings as (doc_id, tf) pairs, read through index.postings(term)."""
+    docs, tfs = index.postings(term)
+    return [(index._doc_ids[pos], tf) for pos, tf in zip(docs.tolist(), tfs.tolist())]
+
+
 def test_build_counts_term_frequencies():
     index = build_index([_doc("d", "a a b")])
-    assert index.postings["a"] == [("d", 2)]
-    assert index.postings["b"] == [("d", 1)]
+    assert _plist(index, "a") == [("d", 2)]
+    assert _plist(index, "b") == [("d", 1)]
     assert index.corpus_size == 1
 
 
@@ -30,8 +37,8 @@ def test_build_is_order_independent():
 
 def test_doc_freq_counts_documents_not_occurrences():
     index = build_index([_doc("d1", "x x x"), _doc("d2", "x y"), _doc("d3", "y")])
-    assert index.doc_freq["x"] == 2
-    assert index.doc_freq["y"] == 2
+    assert len(index.postings("x")[0]) == 2
+    assert len(index.postings("y")[0]) == 2
 
 
 def test_empty_corpus_rejected():
@@ -46,8 +53,8 @@ def test_duplicate_doc_ids_rejected():
 
 def test_title_and_body_are_one_field():
     index = build_index([_doc("d1", "alpha", body="alpha beta"), _doc("d2", "beta")])
-    assert index.postings["alpha"] == [("d1", 2)]
-    assert index.doc_freq["beta"] == 2
+    assert _plist(index, "alpha") == [("d1", 2)]
+    assert len(index.postings("beta")[0]) == 2
 
 
 def test_index_invariants_on_random_corpus():
@@ -55,9 +62,13 @@ def test_index_invariants_on_random_corpus():
     for _ in range(10):
         records, _ = random_small_corpus(rng)
         index = build_index(records)
-        for term, plist in index.postings.items():
-            assert index.doc_freq[term] == len(plist)
-            assert 1 <= index.doc_freq[term] <= index.corpus_size
+        terms = {t for rec in records for t in naive_tokenize(rec.title) + naive_tokenize(rec.body)}
+        assert index.term_count() == len(terms)
+        for term in terms:
+            docs, tfs = index.postings(term)
+            plist = _plist(index, term)
+            assert len(docs) == len(tfs) == len(plist)
+            assert 1 <= len(docs) <= index.corpus_size
             assert [doc_id for doc_id, _ in plist] == sorted(doc_id for doc_id, _ in plist)
             assert all(doc_id in index.doc_table for doc_id, _ in plist)
 
@@ -154,8 +165,11 @@ def test_search_scores_equal_per_posting_loop_exactly():
         # reference: one multiply and one add per posting, in query-token order
         expected = {}
         for term in naive_tokenize(query):
-            for doc_id, tf in index.postings.get(term, ()):
-                idf = math.log(index.corpus_size / index.doc_freq[term])
+            if index.postings(term) is None:
+                continue
+            plist = _plist(index, term)
+            for doc_id, tf in plist:
+                idf = math.log(index.corpus_size / len(plist))
                 expected[doc_id] = expected.get(doc_id, 0.0) + tf * idf
         ranked = sorted((-score, doc_id) for doc_id, score in expected.items() if score > 0.0)
         assert search(query, index).entries == [
@@ -232,3 +246,50 @@ def test_load_rejects_non_index(tmp_path):
         pickle.dump({"not": "an index"}, fout)
     with pytest.raises(ValueError):
         InvertedIndex.load(path)
+
+
+def _saved_index_bytes(tmp_path):
+    path = tmp_path / "good.idx"
+    build_index([_doc("d1", "alpha beta"), _doc("d2", "beta")]).save(path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["empty", "truncated", "text"])
+def test_load_names_path_of_unreadable_file(tmp_path, kind):
+    content = {
+        "empty": b"",
+        "truncated": _saved_index_bytes(tmp_path)[:-40],
+        "text": "id\ttitle\nd1\talpha\n".encode("utf-8"),
+    }[kind]
+    path = tmp_path / f"{kind}.idx"
+    path.write_bytes(content)
+    with pytest.raises(ValueError) as info:
+        InvertedIndex.load(path)
+    message = str(info.value)
+    assert str(path) in message
+    assert "rebuild it with `lotkarank index`" in message
+    assert "\n" not in message
+
+
+def test_load_rejects_stale_layout(tmp_path):
+    import pickle
+
+    # the four-dict layout written before the CSR table: loads as an InvertedIndex
+    stale = object.__new__(InvertedIndex)
+    stale.__dict__.update(
+        doc_table={"d1": _doc("d1", "a")},
+        corpus_size=1,
+        _doc_ids=["d1"],
+        postings={"a": [("d1", 1)]},
+        doc_freq={"a": 1},
+        _term_docs={"a": np.array([0], dtype=np.int32)},
+        _term_tfs={"a": np.array([1.0])},
+        _doc_pos={"d1": 0},
+    )
+    path = tmp_path / "stale.idx"
+    with open(path, "wb") as fout:
+        pickle.dump(stale, fout, protocol=4)
+    with pytest.raises(ValueError, match="older layout") as info:
+        InvertedIndex.load(path)
+    assert str(path) in str(info.value)
+    assert "rebuild it with `lotkarank index`" in str(info.value)

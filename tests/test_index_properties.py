@@ -1,0 +1,71 @@
+"""Property-based differential tests of the index against the naive oracle."""
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracle import naive_search
+from lotkarank.corpus import DocumentRecord, tokenize
+from lotkarank.index import InvertedIndex, build_index, search
+
+# letters and digits from any script, including ones whose lowercase form
+# differs (e.g. "İ"), so the indexed terms are what tokenize makes of them
+_WORDS = st.text(st.characters(categories=("Lu", "Ll", "Lo", "Nd")), min_size=1, max_size=4)
+_SEPARATORS = st.sampled_from([" ", "  ", ", ", "-", "_", "\n", "!?"])
+
+
+@st.composite
+def corpus_and_query(draw):
+    vocab = draw(st.lists(_WORDS, min_size=1, max_size=8, unique=True))
+
+    def text(max_words):
+        words = draw(st.lists(st.sampled_from(vocab), max_size=max_words))
+        return "".join(word + draw(_SEPARATORS) for word in words)
+
+    n_docs = draw(st.integers(min_value=1, max_value=8))
+    order = draw(st.permutations(range(n_docs)))
+    records = [DocumentRecord(doc_id=f"d{i}", title=text(4), body=text(10)) for i in order]
+    words = draw(st.lists(st.sampled_from(vocab + ["unindexed"]), max_size=5))
+    repeats = draw(st.integers(min_value=0, max_value=len(words)))
+    query = " ".join(words + words[:repeats])  # repeated query tokens count once per occurrence
+    return records, query
+
+
+@settings(derandomize=True, deadline=None)
+@given(corpus_and_query())
+def test_search_matches_naive_oracle(case):
+    records, query = case
+    result = search(query, build_index(records))
+    expected = naive_search(records, query)
+    assert result.doc_ids() == [doc_id for doc_id, _, _ in expected]
+    for (_, got, _), (_, want, _) in zip(result.entries, expected):
+        assert abs(got - want) <= 1e-9
+
+
+@settings(derandomize=True, deadline=None)
+@given(corpus_and_query())
+def test_postings_equal_per_document_counts(case):
+    records, _ = case
+    index = build_index(records)
+    counts = {rec.doc_id: Counter(tokenize(rec.title) + tokenize(rec.body)) for rec in records}
+    terms = set().union(*counts.values())
+    assert index.term_count() == len(terms)
+    for term in terms:
+        docs, tfs = index.postings(term)
+        got = [(index._doc_ids[pos], tf) for pos, tf in zip(docs.tolist(), tfs.tolist())]
+        assert got == sorted((doc_id, c[term]) for doc_id, c in counts.items() if c[term])
+
+
+@settings(derandomize=True, deadline=None)
+@given(corpus_and_query())
+def test_save_load_round_trip(case):
+    records, query = case
+    index = build_index(records)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.idx"
+        index.save(path)
+        loaded = InvertedIndex.load(path)
+    assert loaded == index
+    assert search(query, loaded).entries == search(query, index).entries
