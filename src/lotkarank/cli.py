@@ -90,6 +90,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_rerank(args) -> int:
+    if args.query_id.split() != [args.query_id]:  # run files split their columns on whitespace
+        raise ValueError(f"--query-id must be one word without whitespace, got {args.query_id!r}")
     index = InvertedIndex.load(args.index)
     config = _config_for(args.mode, args.field, args.k, args.missing)
     rs = search(args.query, index, query_id=args.query_id)
@@ -103,9 +105,11 @@ def _cmd_eval(args) -> int:
     mode_names = [name.strip() for name in args.modes.split(",") if name.strip()]
     if not mode_names:
         raise ValueError("--modes must name at least one mode")
-    for name in mode_names:
+    for i, name in enumerate(mode_names):
         if name not in _MODE_NAMES:
             raise ValueError(f"unknown mode {name!r}")
+        if name in mode_names[:i]:
+            raise ValueError(f"mode {name!r} is repeated in --modes")
     # parse and validate every input before writing anything;
     # --field feeds combined mode only (brad/lotka imply their own)
     configs = [

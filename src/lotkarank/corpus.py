@@ -6,6 +6,7 @@ id, title, body, authors plus optional issn, journal, publisher, year.
 import json
 import re
 from dataclasses import dataclass, field
+from enum import Enum
 
 REQUIRED_KEYS = ("id", "title", "body", "authors")
 OPTIONAL_KEYS = ("issn", "journal", "publisher", "year")
@@ -13,6 +14,13 @@ OPTIONAL_KEYS = ("issn", "journal", "publisher", "year")
 # alphanumeric runs (unicode-aware, underscore excluded)
 _TOKEN_RE = re.compile(r"[^\W_]+")
 _WS_RE = re.compile(r"\s+")
+
+
+class EntityField(Enum):
+    """A metadata field whose values are counted over result sets."""
+
+    JOURNAL = "journal"  # single-valued: journal_issn
+    AUTHOR = "author"  # multi-valued: authors
 
 
 class CorpusError(ValueError):

@@ -51,6 +51,8 @@ def parse_topics(lines) -> list[Topic]:
         topic_id = topic_id.strip()
         if not topic_id:
             raise ValueError(f"topics line {lineno}: empty topic_id")
+        if topic_id.split() != [topic_id]:  # run files and qrels split their columns on whitespace
+            raise ValueError(f"topics line {lineno}: topic_id {topic_id!r} contains whitespace")
         if topic_id in seen:
             raise ValueError(f"topics line {lineno}: duplicate topic_id {topic_id!r}")
         seen.add(topic_id)
@@ -139,9 +141,9 @@ class EvalReport:
 def run_evaluation(index: InvertedIndex, topics, qrels: QrelSet, configs) -> EvalReport:
     """Search every topic once, rerank it under every config and collect metrics.
 
-    Topic ids must be unique. Qrel topics that do not appear in the topic
-    list are ignored; their count is reported. Deterministic: identical
-    inputs give identical reports.
+    Topic ids and the configs' run tags must be unique. Qrel topics that
+    do not appear in the topic list are ignored; their count is reported.
+    Deterministic: identical inputs give identical reports.
     """
     if not configs:
         raise ValueError("at least one ranking config is required")
@@ -152,6 +154,11 @@ def run_evaluation(index: InvertedIndex, topics, qrels: QrelSet, configs) -> Eva
             raise ValueError(f"duplicate topic_id {topic_id!r}")
         seen.add(topic_id)
     unknown = qrels.topic_ids() - seen
+    tags = set()
+    for config in configs:
+        if config.run_tag in tags:  # report rows and run files are named by tag
+            raise ValueError(f"duplicate run tag {config.run_tag!r}")
+        tags.add(config.run_tag)
 
     result_sets = [search(topic.query_text, index, query_id=topic.topic_id) for topic in topics]
     runs = []

@@ -6,18 +6,12 @@ f(x) = c * x**-alpha by least squares in log-log space.
 """
 import csv
 import math
-from dataclasses import dataclass
-from enum import Enum
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .corpus import DocumentRecord
+from .corpus import DocumentRecord, EntityField
 from .index import InvertedIndex, ResultSet
-
-
-class EntityField(Enum):
-    JOURNAL = "journal"  # single-valued: journal_issn
-    AUTHOR = "author"  # multi-valued: authors
 
 
 @dataclass
@@ -28,6 +22,9 @@ class EntityFrequencyTable:
     counts: dict[str, int]
     covered_docs: int  # result-set documents with at least one value
     result_size: int  # N of the originating ResultSet
+    # entity frequency of each result-set entry in rank order, 0 where the field
+    # is missing (see doc_entity_frequency); set by entity_frequencies
+    doc_ef: np.ndarray | None = dc_field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -50,18 +47,22 @@ def entity_frequencies(rs: ResultSet, field: EntityField, index: InvertedIndex) 
 
     A document increments one count per distinct value it carries (one for
     its journal, one per author); documents without the field contribute
-    nothing.
+    nothing. The table's doc_ef holds each entry's entity frequency.
     """
-    counts: dict[str, int] = {}
-    covered = 0
-    for doc_id, _, _ in rs.entries:
-        values = entity_values(index.doc_table[doc_id], field)
-        if not values:
-            continue
-        covered += 1
-        for value in values:
-            counts[value] = counts.get(value, 0) + 1
-    return EntityFrequencyTable(field=field, counts=counts, covered_docs=covered, result_size=rs.set_size)
+    codes, sizes, names = index.entity_codes(field, rs.positions)
+    counts = np.bincount(codes, minlength=len(names))
+    seen = np.flatnonzero(counts)
+    has = sizes > 0
+    # each covered document's codes are one segment; its ef is the segment's largest count
+    doc_ef = np.zeros(rs.set_size, dtype=np.int64)
+    doc_ef[has] = np.maximum.reduceat(counts[codes], (np.cumsum(sizes) - sizes)[has])
+    return EntityFrequencyTable(
+        field=field,
+        counts=dict(zip(map(names.__getitem__, seen.tolist()), counts[seen].tolist())),
+        covered_docs=int(np.count_nonzero(has)),
+        result_size=rs.set_size,
+        doc_ef=doc_ef,
+    )
 
 
 def doc_entity_frequency(doc_id: str, table: EntityFrequencyTable, index: InvertedIndex):

@@ -9,8 +9,10 @@ import math
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 
-from .index import InvertedIndex, ResultSet
-from .informetrics import EntityField, doc_entity_frequency, entity_frequencies
+import numpy as np
+
+from .index import InvertedIndex, ResultSet, ranked_entries
+from .informetrics import EntityField, entity_frequencies
 
 
 class Mode(Enum):
@@ -80,9 +82,9 @@ def combined_score(tfidf: float, ef: int, n: int, k: float) -> float:
     return tfidf * (ef / n) ** k
 
 
-def _finalize(scored, query_id, tag, dropped) -> RankedList:
-    entries = [(doc_id, score, rank) for rank, (doc_id, score) in enumerate(scored, start=1)]
-    return RankedList(query_id=query_id, entries=entries, tag=tag, dropped=dropped)
+def _finalize(rs, positions, scores, tag, dropped) -> RankedList:
+    entries = ranked_entries(rs.doc_id_table, positions, scores)
+    return RankedList(query_id=rs.query_id, entries=entries, tag=tag, dropped=dropped)
 
 
 def pure_frequency_rerank(rs: ResultSet, field: EntityField, index: InvertedIndex) -> RankedList:
@@ -91,18 +93,14 @@ def pure_frequency_rerank(rs: ResultSet, field: EntityField, index: InvertedInde
     Documents without the field are dropped and counted. The final score is
     the frequency itself.
     """
-    table = entity_frequencies(rs, field, index)
-    keyed = []
-    dropped = 0
-    for doc_id, tfidf, _ in rs.entries:
-        ef = doc_entity_frequency(doc_id, table, index)
-        if ef is None:
-            dropped += 1
-            continue
-        keyed.append((doc_id, tfidf, ef))
-    keyed.sort(key=lambda item: (-item[2], -item[1], item[0]))
+    ef = entity_frequencies(rs, field, index).doc_ef
+    keep = ef > 0
+    positions, tfidf, ef = rs.positions[keep], rs.scores[keep], ef[keep]
+    # (ef desc, tfidf desc, doc_id asc): positions follow doc_id order
+    order = np.lexsort((positions, -tfidf, -ef))
     tag = Mode.BRADFORD.value if field is EntityField.JOURNAL else Mode.LOTKA.value
-    return _finalize([(doc_id, float(ef)) for doc_id, _, ef in keyed], rs.query_id, tag, dropped)
+    dropped = rs.set_size - len(order)
+    return _finalize(rs, positions[order], ef[order].astype(np.float64), tag, dropped)
 
 
 def rerank(rs: ResultSet, config: RankingConfig, index: InvertedIndex) -> RankedList:
@@ -115,25 +113,23 @@ def rerank(rs: ResultSet, config: RankingConfig, index: InvertedIndex) -> Ranked
     documents are dropped or kept at their tf-idf score.
     """
     if config.mode is Mode.TFIDF:
-        return RankedList(query_id=rs.query_id, entries=list(rs.entries), tag=config.run_tag, dropped=0)
+        return RankedList(query_id=rs.query_id, entries=rs.entries, tag=config.run_tag, dropped=0)
     if config.mode in (Mode.BRADFORD, Mode.LOTKA):
         return pure_frequency_rerank(rs, config.field, index)
 
-    table = entity_frequencies(rs, config.field, index)
+    ef = entity_frequencies(rs, config.field, index).doc_ef
     n = rs.set_size
-    scored = []
-    dropped = 0
-    for doc_id, tfidf, _ in rs.entries:
-        ef = doc_entity_frequency(doc_id, table, index)
-        if ef is None:
-            if config.missing_policy is MissingPolicy.DROP:
-                dropped += 1
-                continue
-            scored.append((doc_id, tfidf))  # passthrough: factor treated as 1
-        else:
-            scored.append((doc_id, combined_score(tfidf, ef, n, config.k)))
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    return _finalize(scored, rs.query_id, config.run_tag, dropped)
+    has = ef > 0
+    # the factor (ef / n) ** k with Python's pow, once per distinct ef (np.power can
+    # differ in the last bit); field-missing documents keep 1.0, their tf-idf score
+    distinct, which = np.unique(ef[has], return_inverse=True)
+    factor = np.ones(n, dtype=np.float64)
+    factor[has] = np.array([combined_score(1.0, e, n, config.k) for e in distinct.tolist()])[which]
+    keep = has if config.missing_policy is MissingPolicy.DROP else np.ones(n, dtype=bool)
+    positions, scores = rs.positions[keep], rs.scores[keep] * factor[keep]
+    # (score desc, doc_id asc)
+    order = np.lexsort((positions, -scores))
+    return _finalize(rs, positions[order], scores[order], config.run_tag, n - len(order))
 
 
 def format_run_lines(ranked: RankedList) -> list[str]:

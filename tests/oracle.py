@@ -65,11 +65,12 @@ def naive_doc_ef(rec, counts, field_name):
     return max(values) if values else None
 
 
-def naive_rerank(records, entries, mode, field_name=None, k=1.0):
+def naive_rerank(records, entries, mode, field_name=None, k=1.0, missing="drop"):
     """Re-rank (doc_id, tfidf, rank) triples by brute force.
 
     mode: 'tfidf' | 'brad' | 'lotka' | 'combined'. Field-missing documents
-    are dropped (DROP policy). Returns (triples, dropped).
+    are dropped, except in combined mode with missing='passthrough', which
+    keeps them at their tfidf score. Returns (triples, dropped).
     """
     if mode == "tfidf":
         return list(entries), 0
@@ -80,12 +81,12 @@ def naive_rerank(records, entries, mode, field_name=None, k=1.0):
     kept, dropped = [], 0
     for doc_id, tfidf, _ in entries:
         ef = naive_doc_ef(by_id[doc_id], counts, field_name)
-        if ef is None:
+        if ef is None and not (mode == "combined" and missing == "passthrough"):
             dropped += 1
             continue
         kept.append((doc_id, tfidf, ef))
     if mode == "combined":
-        scored = [(doc_id, tfidf * (ef / n) ** k) for doc_id, tfidf, ef in kept]
+        scored = [(doc_id, tfidf if ef is None else tfidf * (ef / n) ** k) for doc_id, tfidf, ef in kept]
         scored.sort(key=lambda pair: (-pair[1], pair[0]))
     else:
         kept.sort(key=lambda item: (-item[2], -item[1], item[0]))

@@ -135,6 +135,23 @@ def test_rerank_command_combined_needs_field(tmp_path, capsys):
     assert "field" in capsys.readouterr().err
 
 
+def test_rerank_command_rejects_whitespace_in_query_id(tmp_path, capsys):
+    idx = _indexed_tiny(tmp_path)
+    out = tmp_path / "q.run"
+    for query_id in ("my q", "", "q\t1"):
+        capsys.readouterr()
+        assert main([
+            "rerank", "--index", str(idx), "--query", "quake", "--query-id", query_id,
+            "--mode", "tfidf", "--out", str(out),
+        ]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --query-id must be one word without whitespace, got {query_id!r}\n"
+        )
+        assert not out.exists()
+
+
 def _eval_fixture(tmp_path):
     idx = _indexed_tiny(tmp_path)
     topics = tmp_path / "topics.tsv"
@@ -224,6 +241,28 @@ def test_eval_command_rejects_unknown_mode(tmp_path, capsys):
         "--modes", "tfidf,bm25", "--out", str(tmp_path / "x"),
     ]) == 1
     assert "bm25" in capsys.readouterr().err
+
+
+def test_eval_command_rejects_repeated_mode(tmp_path, capsys):
+    idx, topics, qrels = _eval_fixture(tmp_path)
+    assert main([
+        "eval", "--index", str(idx), "--topics", str(topics), "--qrels", str(qrels),
+        "--modes", "tfidf,lotka, tfidf", "--out", str(tmp_path / "dup"),
+    ]) == 1
+    assert capsys.readouterr().err == "error: mode 'tfidf' is repeated in --modes\n"
+    assert not list(tmp_path.glob("dup.*"))
+
+
+def test_eval_command_rejects_whitespace_in_topic_id(tmp_path, capsys):
+    idx, _, qrels = _eval_fixture(tmp_path)
+    topics = tmp_path / "spaced.tsv"
+    _write(topics, ["t 1\tquake"])
+    assert main([
+        "eval", "--index", str(idx), "--topics", str(topics), "--qrels", str(qrels),
+        "--modes", "tfidf", "--out", str(tmp_path / "aborted"),
+    ]) == 1
+    assert capsys.readouterr().err == "error: topics line 1: topic_id 't 1' contains whitespace\n"
+    assert not list(tmp_path.glob("aborted.*"))
 
 
 def test_eval_command_aborts_before_writing_on_bad_input(tmp_path, capsys):

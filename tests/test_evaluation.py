@@ -19,7 +19,7 @@ from lotkarank.evaluation import (
 )
 from lotkarank.index import build_index, search
 from lotkarank.informetrics import EntityField
-from lotkarank.rerank import Mode, RankedList, RankingConfig
+from lotkarank.rerank import MissingPolicy, Mode, RankedList, RankingConfig
 
 
 def _ranked(query_id, doc_ids):
@@ -49,6 +49,13 @@ def test_parse_topics_requires_tab():
 def test_parse_topics_rejects_duplicates():
     with pytest.raises(ValueError, match="duplicate"):
         parse_topics(["126\ta", "126\tb"])
+
+
+@pytest.mark.parametrize("topic_id", ["t 1", "t\u00a01", " a  b "])
+def test_parse_topics_rejects_whitespace_in_id(topic_id):
+    # qrels split on whitespace, so no judgment could ever name such a topic
+    with pytest.raises(ValueError, match="line 2: topic_id .* contains whitespace"):
+        parse_topics(["t0\tfine", f"{topic_id}\tquery"])
 
 
 def test_parse_qrels_basic():
@@ -206,11 +213,24 @@ def test_run_evaluation_rejects_duplicate_topic_ids():
 def test_run_evaluation_identical_configs_have_full_overlap():
     suite = make_topic_suite(n_topics=3, docs_per_topic=15, star_docs=5, seed=6)
     index = build_index(suite.records)
-    configs = [RankingConfig(mode=Mode.TFIDF), RankingConfig(mode=Mode.TFIDF)]
+    # combined with k = 0 keeping field-missing docs ranks exactly as tfidf
+    identical = RankingConfig(mode=Mode.COMBINED, field=EntityField.AUTHOR, k=0.0,
+                              missing_policy=MissingPolicy.PASSTHROUGH)
+    configs = [RankingConfig(mode=Mode.TFIDF), identical]
     report = run_evaluation(index, suite.topics, QrelSet(suite.judgments), configs)
     (tag_a, tag_b, mean), = report.mean_overlap
-    assert (tag_a, tag_b) == ("tfidf", "tfidf")
+    assert (tag_a, tag_b) == ("tfidf", "combined_k0.0")
     assert mean == 10.0  # every list is 15 long, so min(10, length) per topic
+
+
+def test_run_evaluation_rejects_duplicate_run_tags():
+    suite = make_topic_suite(n_topics=1, docs_per_topic=5, star_docs=2, seed=5)
+    index = build_index(suite.records)
+    combined = [RankingConfig(mode=Mode.COMBINED, field=field, k=1.0)
+                for field in (EntityField.AUTHOR, EntityField.JOURNAL)]
+    for configs, tag in (([RankingConfig(mode=Mode.TFIDF)] * 2, "tfidf"), (combined, "combined_k1.0")):
+        with pytest.raises(ValueError, match=f"duplicate run tag '{tag}'"):
+            run_evaluation(index, suite.topics, QrelSet(suite.judgments), configs)
 
 
 def test_run_evaluation_counts_unknown_qrel_topics():

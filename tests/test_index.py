@@ -6,7 +6,7 @@ import pytest
 
 from helpers import random_small_corpus
 from oracle import naive_search, naive_tokenize
-from lotkarank.corpus import DocumentRecord
+from lotkarank.corpus import DocumentRecord, EntityField
 from lotkarank.index import InvertedIndex, build_index, search, tfidf_score
 
 
@@ -39,6 +39,34 @@ def test_doc_freq_counts_documents_not_occurrences():
     index = build_index([_doc("d1", "x x x"), _doc("d2", "x y"), _doc("d3", "y")])
     assert len(index.postings("x")[0]) == 2
     assert len(index.postings("y")[0]) == 2
+
+
+def test_term_counts_stored_in_narrowest_unsigned_type():
+    assert build_index([_doc("d1", "")])._tfs.dtype == np.uint8  # no postings at all
+    assert build_index([_doc("d1", "a " * 255)])._tfs.dtype == np.uint8
+    index = build_index([_doc("d1", "a " * 256), _doc("d2", "b")])
+    assert index._tfs.dtype == np.uint16
+    assert _plist(index, "a") == [("d1", 256)]
+    assert search("a", index).entries == [("d1", 256 * math.log(2 / 1), 1)]
+
+
+def test_entity_codes_follow_name_order_and_positions():
+    index = build_index([
+        _doc("d1", "x", authors=["Zoë", "Ann"], journal_issn="2222-2222"),
+        _doc("d2", "x"),
+        _doc("d3", "x", authors=["Émile"], journal_issn="1111-111X"),
+        _doc("d4", "x", authors=["Ann"], journal_issn="2222-2222"),
+    ])
+    assert index._journal_names == ["1111-111X", "2222-2222"]
+    assert index._author_names == ["Ann", "Zoë", "Émile"]  # code point order
+    positions = np.array([3, 1, 0, 2])  # d4, d2, d1, d3
+    codes, sizes, names = index.entity_codes(EntityField.JOURNAL, positions)
+    assert (codes.tolist(), sizes.tolist(), names) == ([1, 1, 0], [1, 0, 1, 1], index._journal_names)
+    codes, sizes, names = index.entity_codes(EntityField.AUTHOR, positions)
+    assert [names[c] for c in codes.tolist()] == ["Ann", "Zoë", "Ann", "Émile"]
+    assert sizes.tolist() == [1, 0, 2, 1]
+    codes, sizes, _ = index.entity_codes(EntityField.AUTHOR, positions[:0])
+    assert codes.tolist() == sizes.tolist() == []
 
 
 def test_empty_corpus_rejected():
@@ -236,6 +264,8 @@ def test_save_load_round_trip(tmp_path):
     loaded = InvertedIndex.load(path)
     assert loaded == index
     assert search(query, loaded).entries == search(query, index).entries
+    assert search(query, loaded) == search(query, index)
+    assert search(query, loaded, query_id="other") != search(query, index)
 
 
 def test_load_rejects_non_index(tmp_path):
@@ -293,3 +323,19 @@ def test_load_rejects_stale_layout(tmp_path):
         InvertedIndex.load(path)
     assert str(path) in str(info.value)
     assert "rebuild it with `lotkarank index`" in str(info.value)
+
+
+def test_load_rejects_previous_csr_layout(tmp_path):
+    import pickle
+
+    # the CSR layout written before the entity tables and the narrow term counts
+    previous = build_index([_doc("d1", "alpha beta"), _doc("d2", "beta")])
+    previous._format = "csr-1"
+    path = tmp_path / "previous.idx"
+    with open(path, "wb") as fout:
+        pickle.dump(previous, fout, protocol=4)
+    with pytest.raises(ValueError) as info:
+        InvertedIndex.load(path)
+    assert str(info.value) == (
+        f"{path} holds an index in an older layout; rebuild it with `lotkarank index`"
+    )

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from helpers import random_small_corpus
 from oracle import naive_rerank, naive_search
 from lotkarank.corpus import DocumentRecord
-from lotkarank.index import ResultSet, build_index, search
+from lotkarank.index import build_index, search
 from lotkarank.informetrics import EntityField
 from lotkarank.rerank import (
     MissingPolicy,
@@ -203,10 +204,7 @@ def test_rerank_ordering_invariant_under_tfidf_scaling():
         if rs.set_size == 0:
             continue
         m = rng.choice([0.001, 0.5, 3.0, 1e6])
-        scaled = ResultSet(
-            query_id=rs.query_id,
-            entries=[(d, s * m, r) for d, s, r in rs.entries],
-        )
+        scaled = dataclasses.replace(rs, scores=rs.scores * m)
         for config in (
             RankingConfig(mode=Mode.TFIDF),
             RankingConfig(mode=Mode.BRADFORD),
