@@ -58,6 +58,8 @@ class DocumentRecord:
     def __post_init__(self):
         if not isinstance(self.doc_id, str) or not self.doc_id:
             raise CorpusError("doc_id must be a non-empty string")
+        if self.doc_id.split() != [self.doc_id]:  # run files split their columns on whitespace
+            raise CorpusError(f"doc_id {self.doc_id!r} contains whitespace")
         normalized = []
         for name in self.authors:
             if not isinstance(name, str):

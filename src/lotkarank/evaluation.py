@@ -106,7 +106,8 @@ def overlap_at_k(a: RankedList, b: RankedList, k: int) -> int:
     """Size of the intersection of the two top-k doc_id sets."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return len(set(a.doc_ids()[:k]) & set(b.doc_ids()[:k]))
+    top_a = {doc_id for doc_id, _, _ in a.entries[:k]}
+    return len(top_a.intersection(doc_id for doc_id, _, _ in b.entries[:k]))
 
 
 @dataclass

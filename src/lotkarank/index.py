@@ -4,9 +4,10 @@ Scores are sums of tf * ln(N / df) over query tokens, accumulated one
 query token at a time over that token's posting list.
 
 The postings are one CSR table: row r of term t (``_term_ids[t]``) spans
-``_ptr[r]:_ptr[r + 1]`` of the flat ``_docs`` (int32 doc positions in
-doc_id order) and ``_tfs`` (term counts, in the narrowest unsigned type
-that holds the largest) arrays, and df is the row length.
+``_ptr[r]:_ptr[r + 1]`` of the flat ``_docs`` (doc positions in doc_id
+order) and ``_tfs`` (term counts) arrays, and df is the row length.
+Positions, row offsets and counts are each stored in the narrowest
+unsigned type that holds their largest possible value.
 ``InvertedIndex.postings(term)`` is the one way to read a row.
 
 The entity fields are code tables built in the same pass: each field's
@@ -15,20 +16,39 @@ distinct values are numbered in name order (``_journal_names``,
 (-1 when it has no journal) and the authors are a CSR table (``_author_ptr``
 offsets into the flat int32 ``_author_codes``). ``InvertedIndex.entity_codes``
 is the one way to read them.
+
+The index holds no document records: a document is its position and its
+doc_id (``_doc_ids``, sorted), and ``InvertedIndex.position`` maps one to
+the other.
+
+A saved index is an uncompressed zip of ``.npy`` members, as ``np.savez``
+writes, but with a fixed timestamp so that equal indexes give equal bytes.
+It holds arrays only: the layout tag (``format``, UTF-8 bytes), each
+string list (terms in row order, doc ids, journal names, author names) as
+one UTF-8 blob plus the offset of each string in it, and the integer
+arrays. ``InvertedIndex.load`` reads it with ``allow_pickle=False`` and
+checks every member before use.
 """
 import math
-import pickle
+import os
+import zipfile
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import lt
 
 import numpy as np
 
-from .corpus import DocumentRecord, EntityField, tokenize
+from .corpus import EntityField, tokenize
 
-_PICKLE_PROTOCOL = 4
-# layout of a saved index; bump when the pickled attributes change
-_FORMAT = "csr-2"
+# layout of a saved index; change it whenever the members or their meaning change
+_FORMAT = "lotkarank-index/3"
+_STRING_LISTS = ("terms", "doc_ids", "journal_names", "author_names")
+_ARRAYS = ("ptr", "docs", "tfs", "journal_codes", "author_ptr", "author_codes")
+_MEMBERS = ("format", *(f"{name}_{part}" for name in _STRING_LISTS for part in ("blob", "offsets")),
+            *_ARRAYS)
+_ZIP_DATE = (1980, 1, 1, 0, 0, 0)  # the earliest date a zip header holds: no build time in the file
+_REBUILD = "rebuild it with `lotkarank index`"
 
 
 def ranked_entries(doc_ids, positions, scores) -> list[tuple[str, float, int]]:
@@ -68,6 +88,49 @@ class ResultSet:
         return self.query_id == other.query_id and self.entries == other.entries
 
 
+def _pack_strings(strings):
+    """One UTF-8 blob of the strings, and the offset of each string in it plus the blob length."""
+    encoded = [s.encode("utf-8") for s in strings]
+    offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
+    np.cumsum([len(b) for b in encoded], out=offsets[1:])
+    return np.frombuffer(b"".join(encoded), dtype=np.uint8), _narrow(offsets, offsets[-1])
+
+
+def _unpack_strings(blob, offsets) -> list[str]:
+    data = blob.tobytes()
+    bounds = offsets.tolist()
+    return [data[start:stop].decode("utf-8") for start, stop in zip(bounds, bounds[1:])]
+
+
+def _narrow(values, largest):
+    """The values in the narrowest unsigned type that holds largest."""
+    return values.astype(np.min_scalar_type(largest), copy=False)
+
+
+def _within(values, low, high) -> bool:
+    return len(values) == 0 or (int(values.min()) >= low and int(values.max()) <= high)
+
+
+def _offsets_valid(offsets, end) -> bool:
+    """Starts at 0, never decreases, and ends at end."""
+    if len(offsets) == 0 or offsets[0] != 0 or offsets[-1] != end:
+        return False
+    return bool(np.all(offsets[1:] >= offsets[:-1]))
+
+
+def _strictly_sorted(strings) -> bool:
+    return all(map(lt, strings, strings[1:]))
+
+
+class _Invalid(Exception):
+    """A saved index member that breaks the layout (the message says how)."""
+
+
+def _require(ok, what):
+    if not ok:
+        raise _Invalid(what)
+
+
 def _entity_codes(values):
     """The distinct values in name order, and each value's int32 code (-1 for None)."""
     names = sorted(set(values) - {None})
@@ -76,7 +139,7 @@ def _entity_codes(values):
 
 
 class InvertedIndex:
-    """Term postings plus document table for a fixed corpus.
+    """Term postings and entity tables for a fixed corpus.
 
     Immutable after construction; concurrent reads are safe. Postings are
     sorted by doc_id so the index is identical for any input permutation.
@@ -86,14 +149,11 @@ class InvertedIndex:
         if not docs:
             raise ValueError("cannot build an index from an empty corpus")
         ordered = sorted(docs, key=lambda rec: rec.doc_id)
-        self.doc_table: dict[str, DocumentRecord] = {}
-        for rec in ordered:
-            if rec.doc_id in self.doc_table:
-                raise ValueError(f"duplicate doc_id {rec.doc_id!r}")
-            self.doc_table[rec.doc_id] = rec
-        self.corpus_size = len(ordered)
         self._doc_ids = [rec.doc_id for rec in ordered]
-        self._format = _FORMAT
+        duplicate = next((a for a, b in zip(self._doc_ids, self._doc_ids[1:]) if a == b), None)
+        if duplicate is not None:
+            raise ValueError(f"duplicate doc_id {duplicate!r}")
+        self.corpus_size = len(ordered)
 
         # one (row, tf) pair per distinct term of each document, in doc order
         self._term_ids: dict[str, int] = {}
@@ -110,12 +170,14 @@ class InvertedIndex:
         rows = np.array(rows, dtype=np.int64)
         # a stable sort by row keeps each row's postings in doc order
         order = np.argsort(rows, kind="stable")
-        self._docs = np.repeat(np.arange(self.corpus_size, dtype=np.int32), lengths)[order]
+        positions = _narrow(np.arange(self.corpus_size), self.corpus_size - 1)
+        self._docs = np.repeat(positions, lengths)[order]
         tfs = np.array(tfs, dtype=np.int64)
         # initial=0: a corpus whose texts are all empty has no postings
-        self._tfs = tfs.astype(np.min_scalar_type(tfs.max(initial=0)))[order]
-        self._ptr = np.zeros(len(self._term_ids) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=len(self._term_ids)), out=self._ptr[1:])
+        self._tfs = _narrow(tfs, tfs.max(initial=0))[order]
+        ptr = np.zeros(len(self._term_ids) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=len(self._term_ids)), out=ptr[1:])
+        self._ptr = _narrow(ptr, len(rows))
 
         self._journal_names, self._journal_codes = _entity_codes(issns)
         self._author_names, self._author_codes = _entity_codes(authors)
@@ -129,6 +191,13 @@ class InvertedIndex:
             return None
         start, stop = self._ptr[row], self._ptr[row + 1]
         return self._docs[start:stop], self._tfs[start:stop]
+
+    def position(self, doc_id: str) -> int:
+        """The document's position in the index; KeyError if it is not indexed."""
+        pos = bisect_left(self._doc_ids, doc_id)
+        if pos == self.corpus_size or self._doc_ids[pos] != doc_id:
+            raise KeyError(f"unknown doc_id {doc_id!r}")
+        return pos
 
     def entity_codes(self, field: EntityField, positions):
         """The entity codes of the documents at the given positions.
@@ -152,7 +221,8 @@ class InvertedIndex:
         if not isinstance(other, InvertedIndex):
             return NotImplemented
         return (
-            self._term_ids == other._term_ids
+            self._doc_ids == other._doc_ids
+            and self._term_ids == other._term_ids
             and np.array_equal(self._ptr, other._ptr)
             and np.array_equal(self._docs, other._docs)
             and np.array_equal(self._tfs, other._tfs)
@@ -161,28 +231,136 @@ class InvertedIndex:
             and self._author_names == other._author_names
             and np.array_equal(self._author_ptr, other._author_ptr)
             and np.array_equal(self._author_codes, other._author_codes)
-            and self.doc_table == other.doc_table
         )
 
     def term_count(self) -> int:
         return len(self._term_ids)
 
+    def _members(self) -> dict[str, np.ndarray]:
+        """The arrays of the saved file, by member name, in file order."""
+        members = {"format": np.frombuffer(_FORMAT.encode("utf-8"), dtype=np.uint8)}
+        strings = (list(self._term_ids), self._doc_ids, self._journal_names, self._author_names)
+        for name, values in zip(_STRING_LISTS, strings):
+            members[f"{name}_blob"], members[f"{name}_offsets"] = _pack_strings(values)
+        arrays = (self._ptr, self._docs, self._tfs, self._journal_codes, self._author_ptr, self._author_codes)
+        members.update(zip(_ARRAYS, arrays))
+        return members
+
     def save(self, path):
-        with open(path, "wb") as fout:
-            pickle.dump(self, fout, protocol=_PICKLE_PROTOCOL)
+        """Write the index to path, all or nothing.
+
+        The file is written beside path under a temporary name and renamed
+        onto path once complete; on any failure the temporary file is
+        removed and path is left as it was.
+        """
+        path = os.fspath(path)
+        tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+        try:
+            fout = open(tmp, "xb")
+        except OSError as exc:  # name the path asked for, not the temporary one
+            raise OSError(exc.errno, exc.strerror, path) from None
+        try:
+            with fout, zipfile.ZipFile(fout, "w", zipfile.ZIP_STORED) as archive:
+                for name, array in self._members().items():
+                    info = zipfile.ZipInfo(f"{name}.npy", date_time=_ZIP_DATE)
+                    with archive.open(info, "w") as member:
+                        np.lib.format.write_array(member, array, allow_pickle=False)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     @classmethod
     def load(cls, path) -> "InvertedIndex":
-        rebuild = "rebuild it with `lotkarank index`"
+        """Read an index saved by save; ValueError naming path if it is not one.
+
+        Nothing in the file is unpickled, and every member is checked before use.
+        """
         with open(path, "rb") as fin:
+            magic = fin.read(4)
+            if magic[:1] == b"\x80":  # a pickle: the layout before the arrays-only file
+                raise ValueError(f"{path} holds an index in an older layout; {_REBUILD}")
+            if magic != b"PK\x03\x04":
+                raise ValueError(f"{path} is not an index file (no zip header); {_REBUILD}")
+            fin.seek(0)
             try:
-                index = pickle.load(fin)
-            except Exception as exc:  # corrupt pickle bytes can raise almost any exception type
-                raise ValueError(f"{path} is not a readable index ({exc}); {rebuild}") from exc
-        if not isinstance(index, cls):
-            raise ValueError(f"{path} does not contain an index; {rebuild}")
-        if getattr(index, "_format", None) != _FORMAT:
-            raise ValueError(f"{path} holds an index in an older layout; {rebuild}")
+                with np.load(fin, allow_pickle=False) as archive:
+                    members = {name: archive[name] for name in archive.files}
+            except Exception as exc:  # corrupt zip or npy bytes can raise many exception types
+                raise ValueError(f"{path} is not a readable index ({exc}); {_REBUILD}") from exc
+        try:
+            return cls._from_members(members)
+        except _Invalid as exc:
+            raise ValueError(f"{path} is not a valid index: {exc}; {_REBUILD}") from None
+
+    @classmethod
+    def _from_members(cls, members) -> "InvertedIndex":
+        """Check the loaded members against the layout, then build the index from them."""
+        tag = members.get("format")
+        _require(isinstance(tag, np.ndarray) and tag.ndim == 1 and tag.dtype == np.uint8,
+                 "no layout tag (a uint8 member named format)")
+        _require(tag.tobytes() == _FORMAT.encode("utf-8"),
+                 f"unknown layout {tag.tobytes().decode('utf-8', 'replace')!r}")
+        missing = [name for name in _MEMBERS if name not in members]
+        _require(not missing, f"missing member {', '.join(missing)}")
+        extra = sorted(set(members) - set(_MEMBERS))
+        _require(not extra, f"unexpected member {', '.join(extra)}")
+        for name, array in members.items():
+            _require(isinstance(array, np.ndarray) and array.ndim == 1 and array.dtype.kind in "iu",
+                     f"{name} is not a 1-d integer array")
+
+        strings = {}
+        for name in _STRING_LISTS:
+            blob, offsets = members[f"{name}_blob"], members[f"{name}_offsets"]
+            _require(blob.dtype == np.uint8, f"{name}_blob is not a uint8 array")
+            _require(_offsets_valid(offsets, len(blob)), f"{name}_offsets do not split {name}_blob")
+            try:
+                strings[name] = _unpack_strings(blob, offsets)
+            except UnicodeDecodeError:
+                raise _Invalid(f"{name}_blob is not UTF-8") from None
+        terms, doc_ids = strings["terms"], strings["doc_ids"]
+        journal_names, author_names = strings["journal_names"], strings["author_names"]
+        n = len(doc_ids)
+        _require(n > 0, "no documents")
+        _require(_strictly_sorted(doc_ids), "doc ids are not strictly sorted")
+        joined = "".join(doc_ids)
+        _require(doc_ids[0] and joined.split() == [joined], "a doc id is empty or has whitespace")
+        _require(_strictly_sorted(journal_names), "journal names are not strictly sorted")
+        _require(_strictly_sorted(author_names), "author names are not strictly sorted")
+        term_ids = dict(zip(terms, range(len(terms))))
+        _require(len(term_ids) == len(terms), "terms are not unique")
+
+        ptr, docs, tfs = members["ptr"], members["docs"], members["tfs"]
+        _require(len(ptr) == len(terms) + 1, "ptr does not have one entry per term plus one")
+        # every row is nonempty, as df is its length and idf divides by it
+        _require(_offsets_valid(ptr, len(docs)) and bool(np.all(ptr[1:] > ptr[:-1])),
+                 "ptr does not split docs into nonempty rows")
+        _require(len(tfs) == len(docs), "tfs and docs differ in length")
+        _require(_within(docs, 0, n - 1), "a doc position is out of range")
+        _require(_within(tfs, 1, math.inf), "a term count is below 1")
+        ascending = docs[1:] > docs[:-1]
+        ascending[ptr[1:-1] - 1] = True  # a row may start below where the previous one ended
+        _require(bool(np.all(ascending)), "a row's doc positions do not strictly increase")
+
+        journal_codes, author_ptr, author_codes = (members[name] for name in _ARRAYS[3:])
+        _require(len(journal_codes) == n, "journal_codes does not have one code per document")
+        _require(_within(journal_codes, -1, len(journal_names) - 1), "a journal code is out of range")
+        _require(len(author_ptr) == n + 1 and _offsets_valid(author_ptr, len(author_codes)),
+                 "author_ptr does not split author_codes into documents")
+        _require(_within(author_codes, 0, len(author_names) - 1), "an author code is out of range")
+
+        index = object.__new__(cls)
+        index.corpus_size = n
+        index._doc_ids = doc_ids
+        index._term_ids = term_ids
+        index._ptr = _narrow(ptr, len(docs))
+        index._docs = _narrow(docs, n - 1)
+        index._tfs = _narrow(tfs, tfs.max(initial=0))
+        index._journal_names = journal_names
+        index._journal_codes = journal_codes.astype(np.int32, copy=False)
+        index._author_names = author_names
+        index._author_ptr = author_ptr.astype(np.int64, copy=False)
+        index._author_codes = author_codes.astype(np.int32, copy=False)
         return index
 
 
@@ -197,9 +375,7 @@ def tfidf_score(query_tokens, doc_id: str, index: InvertedIndex) -> float:
     Repeated query tokens contribute once per occurrence; tokens absent
     from the index contribute nothing.
     """
-    if doc_id not in index.doc_table:
-        raise KeyError(f"unknown doc_id {doc_id!r}")
-    pos = bisect_left(index._doc_ids, doc_id)
+    pos = index.position(doc_id)
     total = 0.0
     for token in query_tokens:
         hit = index.postings(token)

@@ -71,10 +71,8 @@ def doc_entity_frequency(doc_id: str, table: EntityFrequencyTable, index: Invert
     Multi-valued fields take the maximum count over the document's values,
     so a document counts as strongly as its most frequent entity.
     """
-    if doc_id not in index.doc_table:
-        raise KeyError(f"unknown doc_id {doc_id!r}")
-    values = entity_values(index.doc_table[doc_id], table.field)
-    known = [table.counts[v] for v in values if v in table.counts]
+    codes, _, names = index.entity_codes(table.field, np.array([index.position(doc_id)]))
+    known = [table.counts[names[code]] for code in codes.tolist() if names[code] in table.counts]
     return max(known) if known else None
 
 

@@ -1,4 +1,4 @@
-"""Synthetic corpus generators shared by the unit and acceptance tests."""
+"""Synthetic corpus generators and other fixtures shared by the unit and acceptance tests."""
 import random
 from dataclasses import dataclass
 
@@ -161,3 +161,13 @@ def qrels_lines(judgments) -> list[str]:
 
 def topics_lines(topics) -> list[str]:
     return [f"{t.topic_id}\t{t.query_text}" for t in topics]
+
+
+class CreatesFileOnUnpickle:
+    """A pickle payload: unpickling this object would create the file at path."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))

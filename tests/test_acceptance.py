@@ -50,6 +50,7 @@ def test_k0_identity_on_generated_corpus():
     started = time.perf_counter()
     records, queries = make_power_law_corpus(n_docs=1000, seed=7, alpha=2.0)
     index = build_index(records)
+    by_id = {rec.doc_id: rec for rec in records}
     checked = 0
     for query in queries:
         rs = search(query, index)
@@ -61,7 +62,7 @@ def test_k0_identity_on_generated_corpus():
             )
             combined_ids = rerank(rs, config, index).doc_ids()
             restricted = [
-                doc_id for doc_id in tfidf_ids if entity_values(index.doc_table[doc_id], field)
+                doc_id for doc_id in tfidf_ids if entity_values(by_id[doc_id], field)
             ]
             assert combined_ids == restricted
             checked += 1

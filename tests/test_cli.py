@@ -1,11 +1,14 @@
+import io
 import math
 import os
+import pickle
 import subprocess
 import sys
 
 import numpy as np
+import pytest
 
-from helpers import make_topic_suite, qrels_lines, topics_lines
+from helpers import CreatesFileOnUnpickle, make_topic_suite, qrels_lines, topics_lines
 from lotkarank.cli import main
 from lotkarank.corpus import DocumentRecord, save_corpus
 
@@ -62,6 +65,63 @@ def test_index_command_malformed_line(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_index_command_writes_exactly_out(tmp_path, capsys):
+    corpus = _tiny_corpus(tmp_path)
+    assert main(["index", "--corpus", str(corpus), "--out", str(tmp_path / "x.idx")]) == 0
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["corpus.jsonl", "x.idx"]
+
+
+def test_index_command_names_out_in_missing_directory(tmp_path, capsys):
+    corpus = _tiny_corpus(tmp_path)
+    out = tmp_path / "missing" / "x.idx"
+    assert main(["index", "--corpus", str(corpus), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+    assert list(tmp_path.iterdir()) == [corpus]
+
+
+def test_index_command_rejects_whitespace_in_doc_id(tmp_path, capsys):
+    corpus = tmp_path / "ws.jsonl"
+    _write(corpus, [
+        '{"id": "d1", "title": "a", "body": "", "authors": []}',
+        '{"id": "a b", "title": "b", "body": "", "authors": []}',
+    ])
+    out = tmp_path / "x.idx"
+    assert main(["index", "--corpus", str(corpus), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 2: doc_id 'a b' contains whitespace\n"
+    assert list(tmp_path.iterdir()) == [corpus]
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_index_command_is_all_or_nothing(tmp_path, capsys, monkeypatch, existing):
+    corpus = _tiny_corpus(tmp_path)
+    out = tmp_path / "c.idx"
+    if existing:
+        out.write_bytes(b"an older index")
+    before = sorted(tmp_path.iterdir())
+    write_array = np.lib.format.write_array
+    calls = []
+
+    def fail_on_third_member(fp, array, **kwargs):
+        calls.append(array)
+        if len(calls) == 3:
+            raise OSError("No space left on device")
+        write_array(fp, array, **kwargs)
+
+    monkeypatch.setattr(np.lib.format, "write_array", fail_on_third_member)
+    assert main(["index", "--corpus", str(corpus), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: No space left on device\n"
+    assert len(calls) == 3
+    assert sorted(tmp_path.iterdir()) == before  # no temp file left behind
+    if existing:
+        assert out.read_bytes() == b"an older index"
+    else:
+        assert not out.exists()
+
+
 def _indexed_tiny(tmp_path):
     corpus = _tiny_corpus(tmp_path)
     idx = tmp_path / "c.idx"
@@ -107,6 +167,41 @@ def test_search_command_rejects_truncated_index(tmp_path, capsys):
     assert len(lines) == 1
     assert lines[0].startswith(f"error: {idx} is not a readable index (")
     assert lines[0].endswith("rebuild it with `lotkarank index`")
+
+
+def _foreign_index(kind, marker):
+    if kind == "pickle":
+        return pickle.dumps(CreatesFileOnUnpickle(marker))
+    if kind == "bytes":
+        return bytes(range(256))
+    buffer = io.BytesIO()
+    if kind == "npy":
+        np.save(buffer, np.arange(5))
+    elif kind == "npz":
+        np.savez(buffer, docs=np.arange(5))
+    else:  # an object array is stored pickled inside the npy member
+        np.savez(buffer, docs=np.array([CreatesFileOnUnpickle(marker)], dtype=object))
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize("kind", ["pickle", "npy", "npz", "object-npz", "bytes"])
+def test_commands_reject_foreign_index(tmp_path, capsys, kind):
+    idx = tmp_path / "foreign.idx"
+    idx.write_bytes(_foreign_index(kind, str(tmp_path / "marker")))
+    for argv in (
+        ["search", "--query", "quake"],
+        ["rerank", "--query", "quake", "--mode", "tfidf", "--out", str(tmp_path / "r.run")],
+        ["analyze", "--query", "quake", "--field", "author", "--out", str(tmp_path / "a")],
+    ):
+        capsys.readouterr()
+        assert main([argv[0], "--index", str(idx), *argv[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {idx} ")
+        assert lines[0].endswith("rebuild it with `lotkarank index`")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["foreign.idx"]  # no marker, no output
 
 
 def test_rerank_command_writes_run_file(tmp_path, capsys):

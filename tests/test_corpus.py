@@ -122,6 +122,24 @@ def test_empty_doc_id_rejected():
         DocumentRecord(doc_id="", title="t")
 
 
+@pytest.mark.parametrize("doc_id", ["a b", " d1", "d1\t", "d\n1", "d\u00a01", "d\u30001"])
+def test_doc_id_with_whitespace_rejected(doc_id):
+    # run files split their columns on whitespace, so such an id could not be judged
+    with pytest.raises(CorpusError) as info:
+        DocumentRecord(doc_id=doc_id, title="t")
+    assert str(info.value) == f"doc_id {doc_id!r} contains whitespace"
+
+
+def test_parse_whitespace_doc_id_names_the_line():
+    lines = [
+        '{"id": "d1", "title": "x", "body": "", "authors": []}',
+        '{"id": "a b", "title": "y", "body": "", "authors": []}',
+    ]
+    with pytest.raises(CorpusError) as info:
+        parse_corpus(lines)
+    assert str(info.value) == "line 2: doc_id 'a b' contains whitespace"
+
+
 def test_round_trip():
     records = [
         DocumentRecord(

@@ -154,6 +154,7 @@ OVERLAP_CASES = [
     (["a", "b", "c"], ["c", "b", "a"], 10, 3),  # reversed membership
     (["a", "b", "c"], ["z", "a", "b", "c", "y"], 5, 3),
     (["a", "b", "c", "d"], ["c", "d", "e", "f"], 4, 2),
+    (["d1", "d2", "d3"], ["d3", "d9", "d1", "d7", "d5"], 100, 2),  # k beyond both lists
 ]
 
 

@@ -1,13 +1,15 @@
 import math
+import pickle
 import random
+import zipfile
 
 import numpy as np
 import pytest
 
-from helpers import random_small_corpus
+from helpers import CreatesFileOnUnpickle, random_small_corpus
 from oracle import naive_search, naive_tokenize
 from lotkarank.corpus import DocumentRecord, EntityField
-from lotkarank.index import InvertedIndex, build_index, search, tfidf_score
+from lotkarank.index import InvertedIndex, _pack_strings, build_index, search, tfidf_score
 
 
 def _doc(doc_id, title, body="", **kwargs):
@@ -90,6 +92,7 @@ def test_index_invariants_on_random_corpus():
     for _ in range(10):
         records, _ = random_small_corpus(rng)
         index = build_index(records)
+        doc_ids = {rec.doc_id for rec in records}
         terms = {t for rec in records for t in naive_tokenize(rec.title) + naive_tokenize(rec.body)}
         assert index.term_count() == len(terms)
         for term in terms:
@@ -98,7 +101,7 @@ def test_index_invariants_on_random_corpus():
             assert len(docs) == len(tfs) == len(plist)
             assert 1 <= len(docs) <= index.corpus_size
             assert [doc_id for doc_id, _ in plist] == sorted(doc_id for doc_id, _ in plist)
-            assert all(doc_id in index.doc_table for doc_id, _ in plist)
+            assert all(doc_id in doc_ids for doc_id, _ in plist)
 
 
 def test_tfidf_score_unknown_token_contributes_zero():
@@ -210,7 +213,7 @@ def test_search_ordering_equals_tfidf_score_ordering():
     records, query = random_small_corpus(rng)
     index = build_index(records)
     tokens = naive_tokenize(query)
-    scored = [(doc_id, tfidf_score(tokens, doc_id, index)) for doc_id in index.doc_table]
+    scored = [(rec.doc_id, tfidf_score(tokens, rec.doc_id, index)) for rec in records]
     scored = [(doc_id, s) for doc_id, s in scored if s > 0]
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     assert search(query, index).doc_ids() == [doc_id for doc_id, _ in scored]
@@ -269,13 +272,205 @@ def test_save_load_round_trip(tmp_path):
 
 
 def test_load_rejects_non_index(tmp_path):
-    import pickle
+    # a numpy array file and a zip of arrays that are not an index
+    for name, write in (("junk.npy", np.save), ("junk.npz", np.savez)):
+        path = tmp_path / name
+        with open(path, "wb") as fout:  # a file object, so numpy keeps the name as given
+            write(fout, np.arange(3))
+        with pytest.raises(ValueError) as info:
+            InvertedIndex.load(path)
+        assert str(info.value).startswith(f"{path} is not ")
 
-    path = tmp_path / "junk.idx"
-    with open(path, "wb") as fout:
-        pickle.dump({"not": "an index"}, fout)
-    with pytest.raises(ValueError):
+
+def test_load_never_unpickles(tmp_path):
+    marker = tmp_path / "marker"
+    path = tmp_path / "evil.idx"
+    path.write_bytes(pickle.dumps(CreatesFileOnUnpickle(str(marker))))
+    with pytest.raises(ValueError, match="older layout"):
         InvertedIndex.load(path)
+    assert not marker.exists()
+
+
+def _layout_index():
+    return build_index([
+        _doc("d1", "alpha beta", authors=["Ann", "Émile"], journal_issn="1111-1111"),
+        _doc("d2", "beta gamma", authors=["Émile"]),
+        _doc("d3", "gamma gamma alpha", journal_issn="2222-2222"),
+    ])
+
+
+def _write_members(path, members):
+    with open(path, "wb") as fout:
+        np.savez(fout, **members)
+
+
+def test_layout_index_members():
+    # the arrays the corruption cases below start from
+    members = _layout_index()._members()
+    assert list(members) == [
+        "format", "terms_blob", "terms_offsets", "doc_ids_blob", "doc_ids_offsets",
+        "journal_names_blob", "journal_names_offsets", "author_names_blob", "author_names_offsets",
+        "ptr", "docs", "tfs", "journal_codes", "author_ptr", "author_codes",
+    ]
+    assert bytes(members["format"]) == b"lotkarank-index/3"
+    assert bytes(members["terms_blob"]) == b"alphabetagamma"
+    assert members["terms_offsets"].tolist() == [0, 5, 9, 14]
+    assert bytes(members["author_names_blob"]).decode("utf-8") == "AnnÉmile"
+    assert members["author_names_offsets"].tolist() == [0, 3, 9]
+    assert members["ptr"].tolist() == [0, 2, 4, 6]
+    assert members["docs"].tolist() == [0, 2, 0, 1, 1, 2]
+    assert members["tfs"].tolist() == [1, 1, 1, 1, 1, 2]
+    assert members["journal_codes"].tolist() == [0, -1, 1]
+    assert members["author_ptr"].tolist() == [0, 2, 3, 3]
+    assert members["author_codes"].tolist() == [0, 1, 1]
+    assert [m.dtype for m in members.values()][9:] == [
+        np.uint8, np.uint8, np.uint8, np.int32, np.int64, np.int32,
+    ]
+
+
+def _strings(name, values):
+    blob, offsets = _pack_strings(values)
+    return {f"{name}_blob": blob, f"{name}_offsets": offsets}
+
+
+def _array(**values):
+    return {name: np.array(value, dtype=np.int64) for name, value in values.items()}
+
+
+# (changed members, None to drop a member; the reason the loader gives)
+CORRUPTIONS = {
+    "no format": ({"format": None}, "no layout tag (a uint8 member named format)"),
+    "format not uint8": (_array(format=list(b"lotkarank-index/3")), "no layout tag"),
+    "wrong version": ({"format": np.frombuffer(b"lotkarank-index/99", dtype=np.uint8)},
+                      "unknown layout 'lotkarank-index/99'"),
+    "missing member": ({"tfs": None}, "missing member tfs"),
+    "extra member": (_array(notes=[1]), "unexpected member notes"),
+    "float member": ({"tfs": np.ones(6)}, "tfs is not a 1-d integer array"),
+    "2-d member": ({"docs": np.zeros((2, 3), dtype=np.uint8)}, "docs is not a 1-d integer array"),
+    "wide blob": ({"terms_blob": np.frombuffer(b"alphabetagamma", dtype=np.uint8).astype(np.uint16)},
+                  "terms_blob is not a uint8 array"),
+    "offsets start above 0": (_array(terms_offsets=[1, 5, 9, 14]), "terms_offsets do not split terms_blob"),
+    "offsets decrease": (_array(terms_offsets=[0, 9, 5, 14]), "terms_offsets do not split terms_blob"),
+    "offsets end early": (_array(doc_ids_offsets=[0, 2, 4, 5]), "doc_ids_offsets do not split doc_ids_blob"),
+    "offsets empty": (_array(doc_ids_offsets=[]), "doc_ids_offsets do not split doc_ids_blob"),
+    "blob not utf-8": ({"doc_ids_blob": np.frombuffer(b"d1d\xffd3", dtype=np.uint8)},
+                       "doc_ids_blob is not UTF-8"),
+    "offset inside a character": (_array(author_names_offsets=[0, 4, 9]), "author_names_blob is not UTF-8"),
+    "no documents": ({**_strings("doc_ids", []), **_array(journal_codes=[], author_ptr=[0])}, "no documents"),
+    "doc ids unsorted": (_strings("doc_ids", ["d2", "d1", "d3"]), "doc ids are not strictly sorted"),
+    "doc ids repeated": (_strings("doc_ids", ["d1", "d1", "d3"]), "doc ids are not strictly sorted"),
+    "doc id with whitespace": (_strings("doc_ids", ["d 1", "d2", "d3"]), "a doc id is empty or has whitespace"),
+    "empty doc id": (_strings("doc_ids", ["", "d2", "d3"]), "a doc id is empty or has whitespace"),
+    "journal names unsorted": (_strings("journal_names", ["2222-2222", "1111-1111"]),
+                               "journal names are not strictly sorted"),
+    "author names unsorted": (_strings("author_names", ["Émile", "Ann"]), "author names are not strictly sorted"),
+    "terms repeated": (_strings("terms", ["alpha", "beta", "alpha"]), "terms are not unique"),
+    "ptr too short": (_array(ptr=[0, 2, 6]), "ptr does not have one entry per term plus one"),
+    "ptr starts above 0": (_array(ptr=[1, 2, 4, 6]), "ptr does not split docs into nonempty rows"),
+    "ptr decreases": (_array(ptr=[0, 4, 2, 6]), "ptr does not split docs into nonempty rows"),
+    "empty row": (_array(ptr=[0, 2, 2, 6]), "ptr does not split docs into nonempty rows"),
+    "ptr ends early": (_array(ptr=[0, 2, 4, 5]), "ptr does not split docs into nonempty rows"),
+    "tfs shorter than docs": (_array(tfs=[1, 1, 1, 1, 1]), "tfs and docs differ in length"),
+    "position past corpus": (_array(docs=[0, 3, 0, 1, 1, 2]), "a doc position is out of range"),
+    "negative position": (_array(docs=[-1, 2, 0, 1, 1, 2]), "a doc position is out of range"),
+    "zero term count": (_array(tfs=[1, 0, 1, 1, 1, 2]), "a term count is below 1"),
+    "row out of order": (_array(docs=[2, 0, 0, 1, 1, 2]), "a row's doc positions do not strictly increase"),
+    "row repeats a position": (_array(docs=[0, 0, 0, 1, 1, 2]), "a row's doc positions do not strictly increase"),
+    "journal codes short": (_array(journal_codes=[0, -1]), "journal_codes does not have one code per document"),
+    "journal code below -1": (_array(journal_codes=[0, -2, 1]), "a journal code is out of range"),
+    "journal code past names": (_array(journal_codes=[0, -1, 2]), "a journal code is out of range"),
+    "author ptr short": (_array(author_ptr=[0, 2, 3]), "author_ptr does not split author_codes into documents"),
+    "author ptr decreases": (_array(author_ptr=[0, 3, 2, 3]),
+                             "author_ptr does not split author_codes into documents"),
+    "author ptr ends early": (_array(author_ptr=[0, 2, 2, 2]),
+                              "author_ptr does not split author_codes into documents"),
+    "author code past names": (_array(author_codes=[0, 1, 2]), "an author code is out of range"),
+    "negative author code": (_array(author_codes=[0, -1, 1]), "an author code is out of range"),
+}
+
+
+@pytest.mark.parametrize("case", list(CORRUPTIONS))
+def test_load_rejects_inconsistent_member(tmp_path, case):
+    changes, reason = CORRUPTIONS[case]
+    members = _layout_index()._members()
+    for name, value in changes.items():
+        if value is None:
+            del members[name]
+        else:
+            members[name] = value
+    path = tmp_path / "bad.idx"
+    _write_members(path, members)
+    with pytest.raises(ValueError) as info:
+        InvertedIndex.load(path)
+    message = str(info.value)
+    assert message.startswith(f"{path} is not a valid index: {reason}")
+    assert message.endswith("; rebuild it with `lotkarank index`")
+    assert "\n" not in message
+
+
+def test_load_accepts_members_in_wider_integer_types(tmp_path):
+    index = _layout_index()
+    members = {
+        name: value if name == "format" or name.endswith("_blob") else value.astype(np.int64)
+        for name, value in index._members().items()
+    }
+    members["docs"] = members["docs"].astype(np.uint64)
+    path = tmp_path / "wide.idx"
+    _write_members(path, members)
+    loaded = InvertedIndex.load(path)
+    assert loaded == index
+    for name in ("_ptr", "_docs", "_tfs", "_journal_codes", "_author_ptr", "_author_codes"):
+        assert getattr(loaded, name).dtype == getattr(index, name).dtype
+    positions = np.array([2, 0, 1])
+    for field in EntityField:
+        (codes, sizes, names), (want_codes, want_sizes, want_names) = (
+            idx.entity_codes(field, positions) for idx in (loaded, index)
+        )
+        assert (codes.tolist(), sizes.tolist(), names) == (want_codes.tolist(), want_sizes.tolist(), want_names)
+
+
+def test_positions_and_row_offsets_stored_narrow():
+    index = _layout_index()
+    assert (index._docs.dtype, index._ptr.dtype) == (np.uint8, np.uint8)
+    records = [_doc(f"d{i:03d}", "shared") for i in range(257)]
+    index = build_index(records)
+    assert (index._docs.dtype, index._ptr.dtype) == (np.uint16, np.uint16)
+    assert index._docs.tolist() == list(range(257))
+    assert search("shared", build_index(records + [_doc("zz", "other")])).doc_ids() == [
+        rec.doc_id for rec in records
+    ]
+
+
+def test_saved_file_is_a_deterministic_npz(tmp_path):
+    docs = [
+        _doc("d1", "alpha beta", authors=["Zoë"], journal_issn="2222-2222"),
+        _doc("d2", "beta", authors=["Ann", "Zoë"]),
+        _doc("日本", "gamma alpha", journal_issn="1111-111X"),
+    ]
+    paths = [tmp_path / f"{name}.idx" for name in ("a", "b", "permuted")]
+    build_index(docs).save(paths[0])
+    build_index(docs).save(paths[1])
+    build_index(docs[::-1]).save(paths[2])
+    contents = {path.read_bytes() for path in paths}
+    assert len(contents) == 1
+    assert contents.pop().startswith(b"PK\x03\x04")
+    with np.load(paths[0], allow_pickle=False) as archive:
+        assert archive.files == list(build_index(docs)._members())
+    with zipfile.ZipFile(paths[0]) as archive:  # no build time in the file
+        assert {(info.date_time, info.compress_type) for info in archive.infolist()} == {
+            ((1980, 1, 1, 0, 0, 0), zipfile.ZIP_STORED)
+        }
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["a.idx", "b.idx", "permuted.idx"]
+
+
+def test_save_load_round_trip_without_postings(tmp_path):
+    index = build_index([_doc("ü", ""), _doc("d1", "", authors=["Ann"])])
+    assert index.term_count() == 0
+    path = tmp_path / "empty.idx"
+    index.save(path)
+    loaded = InvertedIndex.load(path)
+    assert loaded == index
+    assert search("anything", loaded).set_size == 0
 
 
 def _saved_index_bytes(tmp_path):
@@ -284,11 +479,12 @@ def _saved_index_bytes(tmp_path):
     return path.read_bytes()
 
 
-@pytest.mark.parametrize("kind", ["empty", "truncated", "text"])
+@pytest.mark.parametrize("kind", ["empty", "truncated", "half", "text"])
 def test_load_names_path_of_unreadable_file(tmp_path, kind):
     content = {
         "empty": b"",
         "truncated": _saved_index_bytes(tmp_path)[:-40],
+        "half": _saved_index_bytes(tmp_path)[: len(_saved_index_bytes(tmp_path)) // 2],
         "text": "id\ttitle\nd1\talpha\n".encode("utf-8"),
     }[kind]
     path = tmp_path / f"{kind}.idx"
@@ -302,8 +498,6 @@ def test_load_names_path_of_unreadable_file(tmp_path, kind):
 
 
 def test_load_rejects_stale_layout(tmp_path):
-    import pickle
-
     # the four-dict layout written before the CSR table: loads as an InvertedIndex
     stale = object.__new__(InvertedIndex)
     stale.__dict__.update(
@@ -326,8 +520,6 @@ def test_load_rejects_stale_layout(tmp_path):
 
 
 def test_load_rejects_previous_csr_layout(tmp_path):
-    import pickle
-
     # the CSR layout written before the entity tables and the narrow term counts
     previous = build_index([_doc("d1", "alpha beta"), _doc("d2", "beta")])
     previous._format = "csr-1"

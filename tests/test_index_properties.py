@@ -25,8 +25,9 @@ def corpus_and_query(draw):
         return "".join(word + draw(_SEPARATORS) for word in words)
 
     n_docs = draw(st.integers(min_value=1, max_value=8))
-    order = draw(st.permutations(range(n_docs)))
-    records = [DocumentRecord(doc_id=f"d{i}", title=text(4), body=text(10)) for i in order]
+    # ids from any script, in no particular order
+    doc_ids = draw(st.lists(_WORDS, min_size=n_docs, max_size=n_docs, unique=True))
+    records = [DocumentRecord(doc_id=doc_id, title=text(4), body=text(10)) for doc_id in doc_ids]
     words = draw(st.lists(st.sampled_from(vocab + ["unindexed"]), max_size=5))
     repeats = draw(st.integers(min_value=0, max_value=len(words)))
     query = " ".join(words + words[:repeats])  # repeated query tokens count once per occurrence
@@ -68,4 +69,5 @@ def test_save_load_round_trip(case):
         index.save(path)
         loaded = InvertedIndex.load(path)
     assert loaded == index
+    assert loaded._doc_ids == sorted(rec.doc_id for rec in records)
     assert search(query, loaded).entries == search(query, index).entries

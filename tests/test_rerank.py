@@ -137,12 +137,12 @@ def test_rerank_tfidf_is_identity():
 
 
 def test_rerank_combined_k_zero_equals_tfidf_on_field_bearing_docs():
-    index, rs = _indexed(
-        [("d1", 2, ["A"], None), ("d2", 1, [], None), ("d3", 0, ["B"], None), ("d4", 3, ["A"], None)]
-    )
+    spec = [("d1", 2, ["A"], None), ("d2", 1, [], None), ("d3", 0, ["B"], None), ("d4", 3, ["A"], None)]
+    index, rs = _indexed(spec)
+    authors = {doc_id: names for doc_id, _, names, _ in spec}
     config = RankingConfig(mode=Mode.COMBINED, field=EntityField.AUTHOR, k=0.0)
     ranked = rerank(rs, config, index)
-    expected = [(d, s, None) for d, s, _ in rs.entries if index.doc_table[d].authors]
+    expected = [(d, s, None) for d, s, _ in rs.entries if authors[d]]
     assert ranked.doc_ids() == [d for d, _, _ in expected]
     assert [s for _, s, _ in ranked.entries] == [s for _, s, _ in expected]
     assert ranked.dropped == 1

@@ -67,11 +67,12 @@ def test_entity_frequencies_match_naive_counts(case):
     records, query, _ = case
     index = build_index(records)
     rs = search(query, index)
+    by_id = {rec.doc_id: rec for rec in records}
     for field in EntityField:
         table = entity_frequencies(rs, field, index)
         counts = naive_entity_counts(records, rs.doc_ids(), field.value)
         assert table.counts == counts
         assert table.result_size == rs.set_size
-        doc_ef = [naive_doc_ef(index.doc_table[doc_id], counts, field.value) for doc_id in rs.doc_ids()]
+        doc_ef = [naive_doc_ef(by_id[doc_id], counts, field.value) for doc_id in rs.doc_ids()]
         assert table.covered_docs == sum(ef is not None for ef in doc_ef)
         assert table.doc_ef.tolist() == [ef or 0 for ef in doc_ef]
