@@ -26,7 +26,6 @@ from .informetrics import (
 from .rerank import (
     MissingPolicy,
     Mode,
-    RankedList,
     RankingConfig,
     combined_score,
     pure_frequency_rerank,

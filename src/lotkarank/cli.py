@@ -83,8 +83,8 @@ def _cmd_search(args) -> int:
         raise ValueError(f"--top must be >= 0, got {args.top}")
     index = InvertedIndex.load(args.index)
     rs = search(args.query, index, query_id=args.query_id)
-    entries = rs.entries if args.top == 0 else rs.entries[: args.top]
-    for doc_id, score, rank in entries:
+    top = args.top or None  # 0 prints every entry
+    for rank, (doc_id, score) in enumerate(zip(rs.doc_ids(top), rs.scores[:top].tolist()), start=1):
         print(f"{rank}\t{doc_id}\t{score:.6f}")
     return 0
 
@@ -97,7 +97,7 @@ def _cmd_rerank(args) -> int:
     rs = search(args.query, index, query_id=args.query_id)
     ranked = rerank(rs, config, index)
     write_run_file([ranked], args.out)
-    print(f"retained={len(ranked.entries)} dropped={ranked.dropped}")
+    print(f"retained={ranked.set_size} dropped={ranked.dropped}")
     return 0
 
 

@@ -2,6 +2,8 @@
 
 A corpus file is UTF-8 JSON-lines: one flat object per line with keys
 id, title, body, authors plus optional issn, journal, publisher, year.
+Every string must encode as UTF-8, so a lone surrogate from a JSON escape
+is rejected.
 """
 import json
 import re
@@ -35,9 +37,11 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def _clean_optional(value):
+def _clean_optional(doc_id: str, key: str, value):
     if value is None:
         return None
+    if not isinstance(value, str):
+        raise CorpusError(f"doc_id {doc_id!r}: {key} must be a string")
     value = value.strip()
     return value or None
 
@@ -71,10 +75,27 @@ class DocumentRecord:
                 raise CorpusError(f"doc_id {self.doc_id!r}: duplicate author {name!r}")
             normalized.append(name)
         self.authors = normalized
-        issn = _clean_optional(self.journal_issn)
+        issn = _clean_optional(self.doc_id, "issn", self.journal_issn)
         self.journal_issn = issn.upper() if issn else None
-        self.journal_title = _clean_optional(self.journal_title)
-        self.publisher = _clean_optional(self.publisher)
+        self.journal_title = _clean_optional(self.doc_id, "journal", self.journal_title)
+        self.publisher = _clean_optional(self.doc_id, "publisher", self.publisher)
+        # a JSON escape such as \ud800 gives a lone surrogate, which no UTF-8 file can hold;
+        # one encode of all the text, and the error's offset names the field
+        texts = [self.doc_id, self.title, self.body, *self.authors,
+                 self.journal_issn or "", self.journal_title or "", self.publisher or ""]
+        try:
+            "".join(texts).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            offset = exc.start
+            keys = ["doc_id", "title", "body", *["author"] * len(self.authors),
+                    "issn", "journal", "publisher"]
+            for key, text in zip(keys, texts):
+                if offset < len(text):
+                    break
+                offset -= len(text)
+            raise CorpusError(
+                f"doc_id {self.doc_id!r}: {key} is not encodable as UTF-8 ({exc.reason})"
+            ) from None
         if self.year is not None and (isinstance(self.year, bool) or not isinstance(self.year, int)):
             raise CorpusError(f"doc_id {self.doc_id!r}: year must be an integer")
 

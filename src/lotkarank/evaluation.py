@@ -8,8 +8,8 @@ import csv
 import io
 from dataclasses import dataclass, field
 
-from .index import InvertedIndex, search
-from .rerank import RankedList, RankingConfig, rerank
+from .index import InvertedIndex, ResultSet, search
+from .rerank import RankingConfig, rerank
 
 PRECISION_CUTOFFS = (5, 10, 20, 30, 100)
 OVERLAP_K = 10
@@ -92,22 +92,19 @@ def load_qrels(path) -> QrelSet:
         return parse_qrels(fin)
 
 
-def precision_at_k(ranked: RankedList, qrels: QrelSet, k: int) -> float:
+def precision_at_k(ranked: ResultSet, qrels: QrelSet, k: int) -> float:
     """Relevant documents among the top min(k, len) entries, divided by k."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    relevant = sum(
-        1 for doc_id, _, rank in ranked.entries[:k] if qrels.is_relevant(ranked.query_id, doc_id)
-    )
+    relevant = sum(1 for doc_id in ranked.doc_ids(k) if qrels.is_relevant(ranked.query_id, doc_id))
     return relevant / k
 
 
-def overlap_at_k(a: RankedList, b: RankedList, k: int) -> int:
+def overlap_at_k(a: ResultSet, b: ResultSet, k: int) -> int:
     """Size of the intersection of the two top-k doc_id sets."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    top_a = {doc_id for doc_id, _, _ in a.entries[:k]}
-    return len(top_a.intersection(doc_id for doc_id, _, _ in b.entries[:k]))
+    return len(set(a.doc_ids(k)).intersection(b.doc_ids(k)))
 
 
 @dataclass
@@ -124,7 +121,7 @@ class RunResult:
 
     tag: str
     per_topic: dict[str, TopicMetrics] = field(default_factory=dict)
-    ranked: list[RankedList] = field(default_factory=list)  # one per topic, in topic order
+    ranked: list[ResultSet] = field(default_factory=list)  # one per topic, in topic order
     macro_precision: dict[int, float] = field(default_factory=dict)
     retrieved: int = 0
     relevant_retrieved: int = 0
@@ -168,11 +165,9 @@ def run_evaluation(index: InvertedIndex, topics, qrels: QrelSet, configs) -> Eva
         for topic, rs in zip(topics, result_sets):
             ranked = rerank(rs, config, index)
             run.ranked.append(ranked)
-            relevant = sum(
-                1 for doc_id, _, _ in ranked.entries if qrels.is_relevant(topic.topic_id, doc_id)
-            )
+            relevant = sum(1 for doc_id in ranked.doc_ids() if qrels.is_relevant(topic.topic_id, doc_id))
             run.per_topic[topic.topic_id] = TopicMetrics(
-                retrieved=len(ranked.entries),
+                retrieved=ranked.set_size,
                 relevant_retrieved=relevant,
                 dropped=ranked.dropped,
                 precision={k: precision_at_k(ranked, qrels, k) for k in PRECISION_CUTOFFS},

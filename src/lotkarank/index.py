@@ -1,7 +1,10 @@
 """Inverted index and tf-idf retrieval.
 
 Scores are sums of tf * ln(N / df) over query tokens, accumulated one
-query token at a time over that token's posting list.
+query token at a time over that token's posting list. ``search`` returns
+a ``ResultSet``: the documents' index positions and scores as two arrays
+in rank order. It is the one ranked-list type; a re-rank (rerank.py)
+returns one too, and the (doc_id, score, rank) view is built on access.
 
 The postings are one CSR table: row r of term t (``_term_ids[t]``) spans
 ``_ptr[r]:_ptr[r + 1]`` of the flat ``_docs`` (doc positions in doc_id
@@ -51,24 +54,23 @@ _ZIP_DATE = (1980, 1, 1, 0, 0, 0)  # the earliest date a zip header holds: no bu
 _REBUILD = "rebuild it with `lotkarank index`"
 
 
-def ranked_entries(doc_ids, positions, scores) -> list[tuple[str, float, int]]:
-    """(doc_id, score, rank) triples for documents given in rank order."""
-    ids = map(doc_ids.__getitem__, positions.tolist())
-    return list(zip(ids, scores.tolist(), range(1, len(positions) + 1)))
-
-
 @dataclass(eq=False)
 class ResultSet:
-    """Scored documents for one query, ordered by (score desc, doc_id asc).
+    """Scored documents for one query, in rank order.
 
     ``positions`` are the documents' positions in the index (doc_id order)
-    and ``scores`` their tf-idf scores, both in rank order.
+    and ``scores`` their scores, both in rank order. ``search`` gives the
+    tf-idf order (score desc, doc_id asc) under the tag "tfidf"; a re-rank
+    gives the same set another order and score under its run tag, with the
+    documents it dropped counted in ``dropped``.
     """
 
     query_id: str
     positions: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
     scores: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.float64))
     doc_id_table: list[str] = field(default_factory=list, repr=False)  # doc_id of each index position
+    tag: str = "tfidf"
+    dropped: int = 0
 
     @property
     def set_size(self) -> int:
@@ -77,15 +79,17 @@ class ResultSet:
     @property
     def entries(self) -> list[tuple[str, float, int]]:
         """(doc_id, score, rank) triples, built from the arrays on each access."""
-        return ranked_entries(self.doc_id_table, self.positions, self.scores)
+        return list(zip(self.doc_ids(), self.scores.tolist(), range(1, self.set_size + 1)))
 
-    def doc_ids(self) -> list[str]:
-        return list(map(self.doc_id_table.__getitem__, self.positions.tolist()))
+    def doc_ids(self, k: int | None = None) -> list[str]:
+        """The doc_ids in rank order, or those of the top k only."""
+        return list(map(self.doc_id_table.__getitem__, self.positions[:k].tolist()))
 
     def __eq__(self, other):
         if not isinstance(other, ResultSet):
             return NotImplemented
-        return self.query_id == other.query_id and self.entries == other.entries
+        return (self.query_id == other.query_id and self.tag == other.tag
+                and self.dropped == other.dropped and self.entries == other.entries)
 
 
 def _pack_strings(strings):

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .corpus import DocumentRecord, EntityField
+from .corpus import EntityField
 from .index import InvertedIndex, ResultSet
 
 
@@ -33,13 +33,6 @@ class PowerLawFit:
     alpha: float
     r_squared: float
     points_used: int
-
-
-def entity_values(record: DocumentRecord, field: EntityField) -> list[str]:
-    """The record's values for an entity field (empty if missing)."""
-    if field is EntityField.JOURNAL:
-        return [record.journal_issn] if record.journal_issn else []
-    return list(record.authors)
 
 
 def entity_frequencies(rs: ResultSet, field: EntityField, index: InvertedIndex) -> EntityFrequencyTable:

@@ -3,15 +3,16 @@
 Three strategies: pure frequency ordering by journal (brad) or author
 (lotka), and the combined score tfidf * (ef / N)**k. Positive k favors
 mainstream entities, negative k the long tail; k = 0 collapses to the
-tf-idf order.
+tf-idf order. Every strategy returns a ResultSet over the same index, so
+a re-ranked list is the same type as the tf-idf set it came from.
 """
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
-from .index import InvertedIndex, ResultSet, ranked_entries
+from .index import InvertedIndex, ResultSet
 from .informetrics import EntityField, entity_frequencies
 
 
@@ -59,19 +60,6 @@ class RankingConfig:
         return self.mode.value
 
 
-@dataclass
-class RankedList:
-    """Re-ranked documents: (doc_id, final_score, rank), plus drop accounting."""
-
-    query_id: str
-    entries: list[tuple[str, float, int]] = dc_field(default_factory=list)
-    tag: str = "tfidf"
-    dropped: int = 0
-
-    def doc_ids(self) -> list[str]:
-        return [doc_id for doc_id, _, _ in self.entries]
-
-
 def combined_score(tfidf: float, ef: int, n: int, k: float) -> float:
     """tfidf * (ef / n)**k for a document with entity frequency ef in a result set of n."""
     if n < 1:
@@ -82,12 +70,7 @@ def combined_score(tfidf: float, ef: int, n: int, k: float) -> float:
     return tfidf * (ef / n) ** k
 
 
-def _finalize(rs, positions, scores, tag, dropped) -> RankedList:
-    entries = ranked_entries(rs.doc_id_table, positions, scores)
-    return RankedList(query_id=rs.query_id, entries=entries, tag=tag, dropped=dropped)
-
-
-def pure_frequency_rerank(rs: ResultSet, field: EntityField, index: InvertedIndex) -> RankedList:
+def pure_frequency_rerank(rs: ResultSet, field: EntityField, index: InvertedIndex) -> ResultSet:
     """Order by entity frequency alone; tf-idf is the inner (secondary) ranking.
 
     Documents without the field are dropped and counted. The final score is
@@ -100,20 +83,24 @@ def pure_frequency_rerank(rs: ResultSet, field: EntityField, index: InvertedInde
     order = np.lexsort((positions, -tfidf, -ef))
     tag = Mode.BRADFORD.value if field is EntityField.JOURNAL else Mode.LOTKA.value
     dropped = rs.set_size - len(order)
-    return _finalize(rs, positions[order], ef[order].astype(np.float64), tag, dropped)
+    return replace(rs, positions=positions[order], scores=ef[order].astype(np.float64), tag=tag,
+                   dropped=dropped)
 
 
-def rerank(rs: ResultSet, config: RankingConfig, index: InvertedIndex) -> RankedList:
+def rerank(rs: ResultSet, config: RankingConfig, index: InvertedIndex) -> ResultSet:
     """Apply one ranking strategy to a tf-idf result set.
 
-    TFIDF passes the set through unchanged. BRADFORD/LOTKA use the pure
-    frequency order (field-missing documents always dropped). COMBINED
-    scores retained documents with tfidf * (ef / N)**k where N is the full
-    result-set size; the missing policy decides whether field-missing
-    documents are dropped or kept at their tf-idf score.
+    The result is a copy of ``rs`` with the new order and scores, the
+    config's run tag and the count of the documents it dropped; ``rs``
+    itself is left unchanged. TFIDF passes the set through unchanged.
+    BRADFORD/LOTKA use the pure frequency order (field-missing documents
+    always dropped). COMBINED scores retained documents with
+    tfidf * (ef / N)**k where N is the full result-set size; the missing
+    policy decides whether field-missing documents are dropped or kept at
+    their tf-idf score.
     """
     if config.mode is Mode.TFIDF:
-        return RankedList(query_id=rs.query_id, entries=rs.entries, tag=config.run_tag, dropped=0)
+        return replace(rs, tag=config.run_tag, dropped=0)
     if config.mode in (Mode.BRADFORD, Mode.LOTKA):
         return pure_frequency_rerank(rs, config.field, index)
 
@@ -129,20 +116,18 @@ def rerank(rs: ResultSet, config: RankingConfig, index: InvertedIndex) -> Ranked
     positions, scores = rs.positions[keep], rs.scores[keep] * factor[keep]
     # (score desc, doc_id asc)
     order = np.lexsort((positions, -scores))
-    return _finalize(rs, positions[order], scores[order], config.run_tag, n - len(order))
+    return replace(rs, positions=positions[order], scores=scores[order], tag=config.run_tag,
+                   dropped=n - len(order))
 
 
-def format_run_lines(ranked: RankedList) -> list[str]:
+def format_run_lines(ranked: ResultSet) -> list[str]:
     """Standard 6-column run lines: query_id Q0 doc_id rank score tag."""
-    return [
-        f"{ranked.query_id} Q0 {doc_id} {rank} {score:.6f} {ranked.tag}"
-        for doc_id, score, rank in ranked.entries
-    ]
+    query_id, tag = ranked.query_id, ranked.tag
+    return [f"{query_id} Q0 {doc_id} {rank} {score:.6f} {tag}" for doc_id, score, rank in ranked.entries]
 
 
 def write_run_file(ranked_lists, path):
     """Write one run file covering any number of ranked lists (one per topic)."""
     with open(path, "w", encoding="utf-8") as fout:
         for ranked in ranked_lists:
-            for line in format_run_lines(ranked):
-                fout.write(line + "\n")
+            fout.writelines(line + "\n" for line in format_run_lines(ranked))

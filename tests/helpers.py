@@ -2,8 +2,11 @@
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from lotkarank.corpus import DocumentRecord
 from lotkarank.evaluation import Topic
+from lotkarank.index import ResultSet
 
 
 def make_power_law_corpus(
@@ -153,6 +156,19 @@ def random_small_corpus(rng: random.Random):
         )
     query = " ".join(rng.choices(vocab + ["zzz"], k=rng.randint(1, 8)))
     return records, query
+
+
+def ranked_list(query_id, doc_ids, scores=None, tag="tfidf", dropped=0) -> ResultSet:
+    """A ResultSet of the doc_ids in the given order, scored len(doc_ids)..1 unless scores are given."""
+    n = len(doc_ids)
+    return ResultSet(
+        query_id=query_id,
+        positions=np.arange(n),
+        scores=np.array(range(n, 0, -1) if scores is None else scores, dtype=np.float64),
+        doc_id_table=list(doc_ids),
+        tag=tag,
+        dropped=dropped,
+    )
 
 
 def qrels_lines(judgments) -> list[str]:

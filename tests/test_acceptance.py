@@ -7,7 +7,7 @@ import functools
 import random
 import time
 
-from helpers import make_power_law_corpus, make_topic_suite, random_small_corpus
+from helpers import make_power_law_corpus, make_topic_suite, random_small_corpus, ranked_list
 from oracle import naive_rerank, naive_search
 from lotkarank.evaluation import (
     QrelSet,
@@ -17,11 +17,10 @@ from lotkarank.evaluation import (
     run_evaluation,
 )
 from lotkarank.index import build_index, search
-from lotkarank.informetrics import EntityField, entity_values, fit_power_law
+from lotkarank.informetrics import EntityField, fit_power_law
 from lotkarank.rerank import (
     MissingPolicy,
     Mode,
-    RankedList,
     RankingConfig,
     combined_score,
     rerank,
@@ -45,6 +44,10 @@ def criterion(name):
     return decorate
 
 
+def _has_field(record, field):
+    return bool(record.journal_issn if field is EntityField.JOURNAL else record.authors)
+
+
 @criterion("k0-identity on 1000-doc power-law corpus")
 def test_k0_identity_on_generated_corpus():
     started = time.perf_counter()
@@ -61,9 +64,7 @@ def test_k0_identity_on_generated_corpus():
                 mode=Mode.COMBINED, field=field, k=0.0, missing_policy=MissingPolicy.DROP
             )
             combined_ids = rerank(rs, config, index).doc_ids()
-            restricted = [
-                doc_id for doc_id in tfidf_ids if entity_values(by_id[doc_id], field)
-            ]
+            restricted = [doc_id for doc_id in tfidf_ids if _has_field(by_id[doc_id], field)]
             assert combined_ids == restricted
             checked += 1
     assert checked == 20  # 10 queries x 2 fields
@@ -109,8 +110,7 @@ def test_power_law_recovery_grid():
 
 
 def _ranked(doc_ids, query_id="t"):
-    entries = [(doc_id, float(len(doc_ids) - i), i + 1) for i, doc_id in enumerate(doc_ids)]
-    return RankedList(query_id=query_id, entries=entries, tag="fixture")
+    return ranked_list(query_id, doc_ids, tag="fixture")
 
 
 @criterion("metric fixtures exact + byte-identical report")

@@ -93,6 +93,27 @@ def test_index_command_rejects_whitespace_in_doc_id(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [corpus]
 
 
+@pytest.mark.parametrize("fields,message", [
+    ('"authors": [], "issn": 5', "doc_id 'd2': issn must be a string"),
+    ('"authors": [], "publisher": {"name": "P"}', "doc_id 'd2': publisher must be a string"),
+    ('"authors": [], "issn": "1234-\\ud800"',
+     "doc_id 'd2': issn is not encodable as UTF-8 (surrogates not allowed)"),
+    ('"authors": ["Ada", "\\udc00"]', "doc_id 'd2': author is not encodable as UTF-8 (surrogates not allowed)"),
+])
+def test_index_command_rejects_bad_field_with_line(tmp_path, capsys, fields, message):
+    corpus = tmp_path / "bad.jsonl"
+    _write(corpus, [
+        '{"id": "d1", "title": "a", "body": "", "authors": []}',
+        '{"id": "d2", "title": "b", "body": "", ' + fields + "}",
+    ])
+    out = tmp_path / "x.idx"
+    assert main(["index", "--corpus", str(corpus), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: line 2: {message}\n"
+    assert list(tmp_path.iterdir()) == [corpus]
+
+
 @pytest.mark.parametrize("existing", [False, True])
 def test_index_command_is_all_or_nothing(tmp_path, capsys, monkeypatch, existing):
     corpus = _tiny_corpus(tmp_path)

@@ -117,6 +117,57 @@ def test_blank_optional_strings_become_none():
     assert rec.publisher is None
 
 
+@pytest.mark.parametrize("key,attr", [("issn", "journal_issn"), ("journal", "journal_title"),
+                                      ("publisher", "publisher")])
+@pytest.mark.parametrize("value", [5, 1.5, True, ["x"], {"a": "b"}])
+def test_non_string_optional_field_rejected(key, attr, value):
+    with pytest.raises(CorpusError) as info:
+        DocumentRecord(doc_id="d1", title="t", **{attr: value})
+    assert str(info.value) == f"doc_id 'd1': {key} must be a string"
+
+
+@pytest.mark.parametrize("key,kwargs", [
+    ("doc_id", {"doc_id": "d\ud800"}),
+    ("title", {"title": "a \udfff b"}),
+    ("body", {"body": "\ud800"}),
+    ("author", {"authors": ["Ada", "B\udc00b"]}),
+    ("issn", {"journal_issn": "1234-\ud800"}),
+    ("journal", {"journal_title": "\udbff"}),
+    ("publisher", {"publisher": "P\ud800"}),
+])
+def test_lone_surrogate_rejected(key, kwargs):
+    # json.loads turns a \ud800 escape into a lone surrogate, which UTF-8 cannot encode
+    fields = {"doc_id": "d1", "title": "t", **kwargs}
+    with pytest.raises(CorpusError) as info:
+        DocumentRecord(**fields)
+    assert str(info.value) == (
+        f"doc_id {fields['doc_id']!r}: {key} is not encodable as UTF-8 (surrogates not allowed)"
+    )
+
+
+def test_paired_surrogate_escape_accepted():
+    # a surrogate pair escape is one ordinary character once parsed
+    (rec,) = parse_corpus(['{"id": "d\\ud83d\\ude00", "title": "t", "body": "", "authors": []}'])
+    assert rec.doc_id == "d\U0001f600"
+
+
+@pytest.mark.parametrize("line,message", [
+    ('{"id": "d2", "title": "y", "body": "", "authors": [], "issn": 5}',
+     "line 2: doc_id 'd2': issn must be a string"),
+    ('{"id": "d2", "title": "y", "body": "", "authors": [], "journal": ["J"]}',
+     "line 2: doc_id 'd2': journal must be a string"),
+    ('{"id": "d2\\ud800", "title": "y", "body": "", "authors": []}',
+     "line 2: doc_id 'd2\\ud800': doc_id is not encodable as UTF-8 (surrogates not allowed)"),
+    ('{"id": "d2", "title": "y", "body": "", "authors": ["\\udfff"]}',
+     "line 2: doc_id 'd2': author is not encodable as UTF-8 (surrogates not allowed)"),
+])
+def test_parse_bad_field_names_the_line(line, message):
+    lines = ['{"id": "d1", "title": "x", "body": "", "authors": []}', line]
+    with pytest.raises(CorpusError) as info:
+        parse_corpus(lines)
+    assert str(info.value) == message
+
+
 def test_empty_doc_id_rejected():
     with pytest.raises(CorpusError):
         DocumentRecord(doc_id="", title="t")

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import make_topic_suite, qrels_lines, random_small_corpus, topics_lines
+from helpers import make_topic_suite, qrels_lines, random_small_corpus, ranked_list, topics_lines
 from oracle import naive_overlap, naive_precision, naive_rerank, naive_search
 from lotkarank import evaluation
 from lotkarank.evaluation import (
@@ -19,12 +19,7 @@ from lotkarank.evaluation import (
 )
 from lotkarank.index import build_index, search
 from lotkarank.informetrics import EntityField
-from lotkarank.rerank import MissingPolicy, Mode, RankedList, RankingConfig
-
-
-def _ranked(query_id, doc_ids):
-    entries = [(doc_id, float(len(doc_ids) - i), i + 1) for i, doc_id in enumerate(doc_ids)]
-    return RankedList(query_id=query_id, entries=entries, tag="tfidf")
+from lotkarank.rerank import MissingPolicy, Mode, RankingConfig
 
 
 def _qrels(topic_id, relevant, judged_irrelevant=()):
@@ -98,17 +93,17 @@ PRECISION_CASES = [
 
 @pytest.mark.parametrize("doc_ids,relevant,k,expected", PRECISION_CASES)
 def test_precision_fixtures(doc_ids, relevant, k, expected):
-    assert precision_at_k(_ranked("t", doc_ids), _qrels("t", relevant), k) == expected
+    assert precision_at_k(ranked_list("t", doc_ids), _qrels("t", relevant), k) == expected
 
 
 def test_precision_ignores_other_topics_judgments():
     qrels = QrelSet({("other", "a"): 1})
-    assert precision_at_k(_ranked("t", ["a"]), qrels, 1) == 0.0
+    assert precision_at_k(ranked_list("t", ["a"]), qrels, 1) == 0.0
 
 
 def test_precision_rejects_k_below_one():
     with pytest.raises(ValueError):
-        precision_at_k(_ranked("t", ["a"]), _qrels("t", {"a"}), 0)
+        precision_at_k(ranked_list("t", ["a"]), _qrels("t", {"a"}), 0)
 
 
 def test_precision_invariant_under_permutation_below_k():
@@ -117,11 +112,11 @@ def test_precision_invariant_under_permutation_below_k():
     relevant = set(rng.sample(doc_ids, 8))
     qrels = _qrels("t", relevant)
     k = 10
-    base = precision_at_k(_ranked("t", doc_ids), qrels, k)
+    base = precision_at_k(ranked_list("t", doc_ids), qrels, k)
     for _ in range(10):
         tail = doc_ids[k:]
         rng.shuffle(tail)
-        assert precision_at_k(_ranked("t", doc_ids[:k] + tail), qrels, k) == base
+        assert precision_at_k(ranked_list("t", doc_ids[:k] + tail), qrels, k) == base
 
 
 def test_precision_times_k_recovers_relevant_count():
@@ -131,7 +126,7 @@ def test_precision_times_k_recovers_relevant_count():
         doc_ids = [f"d{i}" for i in range(n)]
         relevant = set(rng.sample(doc_ids, rng.randint(0, n))) if n else set()
         qrels = _qrels("t", relevant)
-        ranked = _ranked("t", doc_ids)
+        ranked = ranked_list("t", doc_ids)
         for k in (n + 1, n + 5, 16, 32):  # k >= list length
             assert precision_at_k(ranked, qrels, k) == len(relevant) / k
         # exact integer identity at power-of-two cutoffs
@@ -160,15 +155,15 @@ OVERLAP_CASES = [
 
 @pytest.mark.parametrize("ids_a,ids_b,k,expected", OVERLAP_CASES)
 def test_overlap_fixtures(ids_a, ids_b, k, expected):
-    assert overlap_at_k(_ranked("t", ids_a), _ranked("t", ids_b), k) == expected
+    assert overlap_at_k(ranked_list("t", ids_a), ranked_list("t", ids_b), k) == expected
 
 
 def test_overlap_symmetric_and_monotone_in_k():
     rng = random.Random(4)
     universe = [f"d{i}" for i in range(30)]
     for _ in range(20):
-        a = _ranked("t", rng.sample(universe, rng.randint(0, 20)))
-        b = _ranked("t", rng.sample(universe, rng.randint(0, 20)))
+        a = ranked_list("t", rng.sample(universe, rng.randint(0, 20)))
+        b = ranked_list("t", rng.sample(universe, rng.randint(0, 20)))
         previous = 0
         for k in (1, 2, 5, 10, 20):
             got = overlap_at_k(a, b, k)
@@ -179,7 +174,7 @@ def test_overlap_symmetric_and_monotone_in_k():
 
 def test_overlap_rejects_k_below_one():
     with pytest.raises(ValueError):
-        overlap_at_k(_ranked("t", []), _ranked("t", []), 0)
+        overlap_at_k(ranked_list("t", []), ranked_list("t", []), 0)
 
 
 # --- run_evaluation --------------------------------------------------------

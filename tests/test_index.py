@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pickle
 import random
@@ -269,6 +270,13 @@ def test_save_load_round_trip(tmp_path):
     assert search(query, loaded).entries == search(query, index).entries
     assert search(query, loaded) == search(query, index)
     assert search(query, loaded, query_id="other") != search(query, index)
+    # equal entries under another run tag or drop count are another list
+    result = search(query, loaded)
+    assert dataclasses.replace(result, tag="brad") != result
+    assert dataclasses.replace(result, dropped=1) != result
+    n = result.set_size
+    for k in (0, 1, n, n + 5, None):
+        assert result.doc_ids(k) == result.doc_ids()[:k]
 
 
 def test_load_rejects_non_index(tmp_path):

@@ -43,6 +43,8 @@ def test_search_matches_naive_oracle(case):
     assert result.doc_ids() == [doc_id for doc_id, _, _ in expected]
     for (_, got, _), (_, want, _) in zip(result.entries, expected):
         assert abs(got - want) <= 1e-9
+    for k in (0, 1, len(expected), len(expected) + 5, None):
+        assert result.doc_ids(k) == result.doc_ids()[:k]
 
 
 @settings(derandomize=True, deadline=None)

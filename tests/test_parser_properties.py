@@ -1,0 +1,67 @@
+"""Property-based tests of the input parsers on arbitrary input.
+
+Each parser either returns a value or raises ValueError (CorpusError is
+one) naming what is wrong; no other exception type escapes. What
+parse_corpus returns can be written back out as UTF-8 and parses to
+the same records.
+"""
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lotkarank.corpus import OPTIONAL_KEYS, REQUIRED_KEYS, parse_corpus, serialize_corpus
+from lotkarank.evaluation import parse_qrels, parse_topics
+
+# any character, lone surrogates (what a JSON \ud800 escape decodes to) included
+_TEXT = st.text(st.characters(exclude_categories=()) | st.sampled_from("𐀀\udfff \t"), max_size=8)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=6,
+)
+# mostly without whitespace, so that records get past the doc_id check to the other fields
+_ID = st.text(st.characters(exclude_categories=("Zs", "Zl", "Zp", "Cc")) | st.just("\udfff"),
+              min_size=1, max_size=4)
+# the required keys of their documented types, the optional keys of theirs or of any JSON type
+_RECORD = st.fixed_dictionaries(
+    {"id": _ID, "title": _TEXT, "body": _TEXT, "authors": st.lists(_TEXT, max_size=3)},
+    optional={"issn": _TEXT | _JSON, "journal": _TEXT | _JSON, "publisher": _TEXT | _JSON,
+              "year": st.integers() | _JSON},
+)
+# every key, an unknown one included, of any JSON type
+_ANY_RECORD = st.fixed_dictionaries(
+    {key: _JSON for key in REQUIRED_KEYS}, optional={key: _JSON for key in (*OPTIONAL_KEYS, "extra")}
+)
+_CORPUS_LINE = (_RECORD | _ANY_RECORD | _JSON).map(json.dumps) | _TEXT
+_LINE = _TEXT | st.lists(_TEXT, max_size=5).map(" ".join) | st.lists(_TEXT, max_size=3).map("\t".join)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.lists(_CORPUS_LINE, max_size=4))
+def test_parse_corpus_returns_or_raises_value_error(lines):
+    try:
+        records = parse_corpus(lines)
+    except ValueError:
+        return
+    text = serialize_corpus(records)
+    text.encode("utf-8")  # what the index file and run files hold
+    assert parse_corpus(text.splitlines()) == records
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.lists(_LINE, max_size=4))
+def test_parse_topics_returns_or_raises_value_error(lines):
+    try:
+        parse_topics(lines)
+    except ValueError:
+        pass
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.lists(_LINE, max_size=4))
+def test_parse_qrels_returns_or_raises_value_error(lines):
+    try:
+        parse_qrels(lines)
+    except ValueError:
+        pass

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import random_small_corpus
+from helpers import random_small_corpus, ranked_list
 from oracle import naive_rerank, naive_search
 from lotkarank.corpus import DocumentRecord
 from lotkarank.index import build_index, search
@@ -11,7 +11,6 @@ from lotkarank.informetrics import EntityField
 from lotkarank.rerank import (
     MissingPolicy,
     Mode,
-    RankedList,
     RankingConfig,
     combined_score,
     format_run_lines,
@@ -134,6 +133,9 @@ def test_rerank_tfidf_is_identity():
     ranked = rerank(rs, RankingConfig(mode=Mode.TFIDF), index)
     assert ranked.entries == rs.entries
     assert ranked.dropped == 0
+    assert ranked == rs
+    assert rerank(rs, RankingConfig(mode=Mode.COMBINED, field=EntityField.AUTHOR, k=0.0,
+                                    missing_policy=MissingPolicy.PASSTHROUGH), index) != rs  # tag differs
 
 
 def test_rerank_combined_k_zero_equals_tfidf_on_field_bearing_docs():
@@ -249,12 +251,7 @@ def test_rerank_matches_brute_force_oracle():
 
 
 def test_run_lines_format():
-    ranked = RankedList(
-        query_id="126",
-        entries=[("doc9", 2.5, 1), ("doc2", 0.125, 2)],
-        tag="brad",
-        dropped=3,
-    )
+    ranked = ranked_list("126", ["doc9", "doc2"], scores=[2.5, 0.125], tag="brad", dropped=3)
     assert format_run_lines(ranked) == [
         "126 Q0 doc9 1 2.500000 brad",
         "126 Q0 doc2 2 0.125000 brad",
@@ -263,8 +260,8 @@ def test_run_lines_format():
 
 def test_write_run_file_concatenates_topics(tmp_path):
     lists = [
-        RankedList(query_id="t1", entries=[("a", 1.0, 1)], tag="lotka"),
-        RankedList(query_id="t2", entries=[("b", 2.0, 1), ("c", 1.0, 2)], tag="lotka"),
+        ranked_list("t1", ["a"], scores=[1.0], tag="lotka"),
+        ranked_list("t2", ["b", "c"], scores=[2.0, 1.0], tag="lotka"),
     ]
     path = tmp_path / "lotka.run"
     write_run_file(lists, path)

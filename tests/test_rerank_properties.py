@@ -59,6 +59,8 @@ def test_rerank_matches_naive_oracle(case):
         assert ranked.dropped == expected_dropped
         for (_, got, _), (_, want, _) in zip(ranked.entries, expected):
             assert abs(got - want) <= 1e-9
+        for top in (0, 1, len(expected), len(expected) + 5, None):
+            assert ranked.doc_ids(top) == ranked.doc_ids()[:top]
 
 
 @settings(derandomize=True, deadline=None)
