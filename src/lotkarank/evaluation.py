@@ -6,9 +6,13 @@ over topics, with empty result sets contributing zero.
 """
 import csv
 import io
+from collections import defaultdict
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .index import InvertedIndex, ResultSet, search
+from .output import whole_file
 from .rerank import RankingConfig, rerank
 
 PRECISION_CUTOFFS = (5, 10, 20, 30, 100)
@@ -141,7 +145,11 @@ def run_evaluation(index: InvertedIndex, topics, qrels: QrelSet, configs) -> Eva
 
     Topic ids and the configs' run tags must be unique. Qrel topics that
     do not appear in the topic list are ignored; their count is reported.
-    Deterministic: identical inputs give identical reports.
+    A judged doc_id that is not in the index is never retrieved, so it is
+    skipped. The metrics read the ranked lists' index positions: a topic's
+    relevant documents (grade > 0) are one boolean mask over the index,
+    and the ranked lists are compared by position, which the doc_ids
+    follow. Deterministic: identical inputs give identical reports.
     """
     if not configs:
         raise ValueError("at least one ranking config is required")
@@ -158,21 +166,33 @@ def run_evaluation(index: InvertedIndex, topics, qrels: QrelSet, configs) -> Eva
             raise ValueError(f"duplicate run tag {config.run_tag!r}")
         tags.add(config.run_tag)
 
-    result_sets = [search(topic.query_text, index, query_id=topic.topic_id) for topic in topics]
-    runs = []
-    for config in configs:
-        run = RunResult(tag=config.run_tag)
-        for topic, rs in zip(topics, result_sets):
+    judged = defaultdict(list)  # topic_id -> index positions of its relevant documents
+    for (topic_id, doc_id), grade in qrels.judgments.items():
+        if grade > 0 and topic_id in seen:
+            try:
+                judged[topic_id].append(index.position(doc_id))
+            except KeyError:
+                pass
+
+    runs = [RunResult(tag=config.run_tag) for config in configs]
+    for topic in topics:
+        rs = search(topic.query_text, index, query_id=topic.topic_id)
+        relevant = np.zeros(index.corpus_size, dtype=bool)
+        relevant[judged[topic.topic_id]] = True
+        for config, run in zip(configs, runs):
             ranked = rerank(rs, config, index)
             run.ranked.append(ranked)
-            relevant = sum(1 for doc_id in ranked.doc_ids() if qrels.is_relevant(topic.topic_id, doc_id))
+            hits = relevant[ranked.positions]
+            # found[i]: relevant documents among the top i
+            found = [0, *np.cumsum(hits[:PRECISION_CUTOFFS[-1]]).tolist()]
             run.per_topic[topic.topic_id] = TopicMetrics(
                 retrieved=ranked.set_size,
-                relevant_retrieved=relevant,
+                relevant_retrieved=int(np.count_nonzero(hits)),
                 dropped=ranked.dropped,
-                precision={k: precision_at_k(ranked, qrels, k) for k in PRECISION_CUTOFFS},
+                precision={k: found[min(k, len(found) - 1)] / k for k in PRECISION_CUTOFFS},
             )
-        n_topics = len(topics)
+    n_topics = len(topics)
+    for run in runs:
         run.macro_precision = {
             k: (sum(m.precision[k] for m in run.per_topic.values()) / n_topics if n_topics else 0.0)
             for k in PRECISION_CUTOFFS
@@ -180,14 +200,14 @@ def run_evaluation(index: InvertedIndex, topics, qrels: QrelSet, configs) -> Eva
         run.retrieved = sum(m.retrieved for m in run.per_topic.values())
         run.relevant_retrieved = sum(m.relevant_retrieved for m in run.per_topic.values())
         run.dropped = sum(m.dropped for m in run.per_topic.values())
-        runs.append(run)
 
     overlaps = []
     for i in range(len(configs)):
         for j in range(i + 1, len(configs)):
             if topic_ids:
                 mean = sum(
-                    overlap_at_k(a, b, OVERLAP_K) for a, b in zip(runs[i].ranked, runs[j].ranked)
+                    np.intersect1d(a.positions[:OVERLAP_K], b.positions[:OVERLAP_K], assume_unique=True).size
+                    for a, b in zip(runs[i].ranked, runs[j].ranked)
                 ) / len(topic_ids)
             else:
                 mean = 0.0
@@ -255,7 +275,7 @@ def report_table(report: EvalReport) -> str:
 
 
 def write_report(report: EvalReport, csv_path, table_path):
-    with open(csv_path, "w", encoding="utf-8") as fout:
-        fout.write(report_csv(report))
-    with open(table_path, "w", encoding="utf-8") as fout:
-        fout.write(report_table(report))
+    """Write report_csv to csv_path, then report_table to table_path, each all or nothing."""
+    for path, text in ((csv_path, report_csv(report)), (table_path, report_table(report))):
+        with whole_file(path) as fout:
+            fout.write(text.encode("utf-8"))

@@ -33,7 +33,6 @@ arrays. ``InvertedIndex.load`` reads it with ``allow_pickle=False`` and
 checks every member before use.
 """
 import math
-import os
 import zipfile
 from bisect import bisect_left
 from collections import Counter
@@ -43,6 +42,7 @@ from operator import lt
 import numpy as np
 
 from .corpus import EntityField, tokenize
+from .output import whole_file
 
 # layout of a saved index; change it whenever the members or their meaning change
 _FORMAT = "lotkarank-index/3"
@@ -101,9 +101,20 @@ def _pack_strings(strings):
 
 
 def _unpack_strings(blob, offsets) -> list[str]:
+    """The strings _pack_strings packed; UnicodeDecodeError unless each one is UTF-8."""
     data = blob.tobytes()
-    bounds = offsets.tolist()
-    return [data[start:stop].decode("utf-8") for start, stop in zip(bounds, bounds[1:])]
+    text = data.decode("utf-8")
+    offsets = offsets.astype(np.int64, copy=False)  # any integer type; values in 0..len(blob)
+    # a continuation byte (10xxxxxx) is never the first byte of a character: a string
+    # starting on one would not decode alone, and each one before a byte offset
+    # puts it one ahead of the character offset
+    continuation = np.append((blob & 0xC0) == 0x80, False)  # the blob's end is no byte
+    split = continuation[offsets]
+    if split.any():
+        start = int(offsets[split][0])
+        raise UnicodeDecodeError("utf-8", data, start, start + 1, "a string starts inside a character")
+    bounds = (offsets - np.searchsorted(np.flatnonzero(continuation), offsets)).tolist()
+    return [text[start:stop] for start, stop in zip(bounds, bounds[1:])]
 
 
 def _narrow(values, largest):
@@ -251,28 +262,12 @@ class InvertedIndex:
         return members
 
     def save(self, path):
-        """Write the index to path, all or nothing.
-
-        The file is written beside path under a temporary name and renamed
-        onto path once complete; on any failure the temporary file is
-        removed and path is left as it was.
-        """
-        path = os.fspath(path)
-        tmp = f"{path}.{os.urandom(4).hex()}.tmp"
-        try:
-            fout = open(tmp, "xb")
-        except OSError as exc:  # name the path asked for, not the temporary one
-            raise OSError(exc.errno, exc.strerror, path) from None
-        try:
-            with fout, zipfile.ZipFile(fout, "w", zipfile.ZIP_STORED) as archive:
-                for name, array in self._members().items():
-                    info = zipfile.ZipInfo(f"{name}.npy", date_time=_ZIP_DATE)
-                    with archive.open(info, "w") as member:
-                        np.lib.format.write_array(member, array, allow_pickle=False)
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+        """Write the index to path, all or nothing (see output.whole_file)."""
+        with whole_file(path) as fout, zipfile.ZipFile(fout, "w", zipfile.ZIP_STORED) as archive:
+            for name, array in self._members().items():
+                info = zipfile.ZipInfo(f"{name}.npy", date_time=_ZIP_DATE)
+                with archive.open(info, "w") as member:
+                    np.lib.format.write_array(member, array, allow_pickle=False)
 
     @classmethod
     def load(cls, path) -> "InvertedIndex":

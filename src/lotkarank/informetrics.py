@@ -5,6 +5,7 @@ or author name), turns the counts into a rank-frequency series, and fits
 f(x) = c * x**-alpha by least squares in log-log space.
 """
 import csv
+import io
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -12,6 +13,7 @@ import numpy as np
 
 from .corpus import EntityField
 from .index import InvertedIndex, ResultSet
+from .output import whole_file
 
 
 @dataclass
@@ -116,17 +118,18 @@ def export_series_csv(table: EntityFrequencyTable, out_prefix) -> tuple[str, str
     """Write <prefix>.csv (rank,frequency,entity) and <prefix>.loglog.csv.
 
     The log-log companion uses natural logs and is ready for straight-line
-    plotting. Returns both paths.
+    plotting. Each file is written all or nothing (see output.whole_file).
+    Returns both paths.
     """
     linear_path = f"{out_prefix}.csv"
     loglog_path = f"{out_prefix}.loglog.csv"
     ranked = _ranked_entities(table)
-    with open(linear_path, "w", encoding="utf-8", newline="") as fout:
+    with whole_file(linear_path) as raw, io.TextIOWrapper(raw, encoding="utf-8", newline="") as fout:
         writer = csv.writer(fout, lineterminator="\n")
         writer.writerow(["rank", "frequency", "entity"])
         for rank, (entity, count) in enumerate(ranked, start=1):
             writer.writerow([rank, count, entity])
-    with open(loglog_path, "w", encoding="utf-8", newline="") as fout:
+    with whole_file(loglog_path) as raw, io.TextIOWrapper(raw, encoding="utf-8", newline="") as fout:
         writer = csv.writer(fout, lineterminator="\n")
         writer.writerow(["log_rank", "log_frequency"])
         for rank, (_, count) in enumerate(ranked, start=1):

@@ -14,6 +14,7 @@ import numpy as np
 
 from .index import InvertedIndex, ResultSet
 from .informetrics import EntityField, entity_frequencies
+from .output import whole_file
 
 
 class Mode(Enum):
@@ -120,14 +121,32 @@ def rerank(rs: ResultSet, config: RankingConfig, index: InvertedIndex) -> Result
                    dropped=n - len(order))
 
 
-def format_run_lines(ranked: ResultSet) -> list[str]:
-    """Standard 6-column run lines: query_id Q0 doc_id rank score tag."""
-    query_id, tag = ranked.query_id, ranked.tag
-    return [f"{query_id} Q0 {doc_id} {rank} {score:.6f} {tag}" for doc_id, score, rank in ranked.entries]
+def _run_text(ranked: ResultSet, ranks: list[str]) -> str:
+    """The list's run lines as one string; ranks[i] is " {i + 1}" for at least set_size ranks."""
+    n = ranked.set_size
+    scores = np.ascontiguousarray(ranked.scores, dtype=np.float64)
+    # each distinct score is formatted once; keyed on its bits, so 0.0 and -0.0 stay apart
+    bits, which = np.unique(scores.view(np.uint64), return_inverse=True)
+    tails = [f" {score:.6f} {ranked.tag}\n" for score in bits.view(np.float64).tolist()]
+    # the line "{query_id} Q0 {doc_id} {rank} {score:.6f} {tag}\n" in four parts
+    parts = [f"{ranked.query_id} Q0 "] * (4 * n)
+    parts[1::4] = ranked.doc_ids()
+    parts[2::4] = ranks[:n]
+    parts[3::4] = map(tails.__getitem__, which.tolist())
+    return "".join(parts)
 
 
 def write_run_file(ranked_lists, path):
-    """Write one run file covering any number of ranked lists (one per topic)."""
-    with open(path, "w", encoding="utf-8") as fout:
-        for ranked in ranked_lists:
-            fout.writelines(line + "\n" for line in format_run_lines(ranked))
+    """Write one run file covering any number of ranked lists (one per topic), all or nothing.
+
+    Each entry is one standard 6-column line, query_id Q0 doc_id rank score
+    tag, with the score to 6 decimals; the lists follow each other in the
+    order given. The file is written whole or not at all (see
+    output.whole_file) and exists when this returns.
+    """
+    ranked_lists = list(ranked_lists)
+    longest = max((ranked.set_size for ranked in ranked_lists), default=0)
+    ranks = [f" {rank}" for rank in range(1, longest + 1)]
+    text = "".join(_run_text(ranked, ranks) for ranked in ranked_lists)
+    with whole_file(path) as fout:
+        fout.write(text.encode("utf-8"))

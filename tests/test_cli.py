@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from helpers import CreatesFileOnUnpickle, make_topic_suite, qrels_lines, topics_lines
+from lotkarank import output
 from lotkarank.cli import main
 from lotkarank.corpus import DocumentRecord, save_corpus
 
@@ -391,6 +392,74 @@ def test_eval_command_aborts_before_writing_on_bad_input(tmp_path, capsys):
         "--modes", "tfidf", "--out", str(prefix),
     ]) == 1
     assert not list(tmp_path.glob("aborted.*"))
+
+
+def _writing_command(tmp_path, command, out_dir):
+    """The argv of a command that writes files into out_dir, and those files in write order."""
+    idx, topics, qrels = _eval_fixture(tmp_path)
+    if command == "rerank":
+        out = out_dir / "q.run"
+        return ["rerank", "--index", str(idx), "--query", "quake", "--mode", "brad", "--out", str(out)], [out]
+    if command == "eval":
+        return (["eval", "--index", str(idx), "--topics", str(topics), "--qrels", str(qrels),
+                 "--modes", "tfidf,brad", "--out", str(out_dir / "exp")],
+                [out_dir / f"exp.{suffix}" for suffix in ("report.csv", "report.txt", "tfidf.run", "brad.run")])
+    return (["analyze", "--index", str(idx), "--query", "quake", "--field", "journal", "--out", str(out_dir / "s")],
+            [out_dir / "s.csv", out_dir / "s.loglog.csv"])
+
+
+class _FullDisk:
+    """A file that takes the first few bytes of a write, then runs out of space."""
+
+    def __init__(self, raw):
+        self.raw = raw
+
+    def write(self, data):
+        self.raw.write(data[:5])
+        raise OSError("No space left on device")
+
+    def __getattr__(self, name):
+        return getattr(self.raw, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.raw.close()
+
+
+def _fail_replace(src, dst):
+    raise OSError("No space left on device")
+
+
+@pytest.mark.parametrize("fault", ["write", "replace"])
+@pytest.mark.parametrize("existing", [False, True])
+@pytest.mark.parametrize("command", ["rerank", "eval", "analyze"])
+def test_output_files_are_all_or_nothing(tmp_path, capsys, monkeypatch, command, existing, fault):
+    argv, outputs = _writing_command(tmp_path, command, tmp_path)
+    if existing:
+        for path in outputs:
+            path.write_bytes(b"an older output\n")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    capsys.readouterr()
+    if fault == "write":
+        monkeypatch.setattr(output, "open", lambda path, mode: _FullDisk(open(path, mode)), raising=False)
+    else:
+        monkeypatch.setattr(os, "replace", _fail_replace)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: No space left on device\n"
+    # the first output failed: no output and no temporary file is new, and older ones are unchanged
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("command", ["rerank", "eval", "analyze"])
+def test_output_in_missing_directory_names_the_path(tmp_path, capsys, command):
+    argv, outputs = _writing_command(tmp_path, command, tmp_path / "missing")
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{outputs[0]}'\n"
 
 
 def _power_law_author_corpus(tmp_path):

@@ -13,7 +13,6 @@ from lotkarank.rerank import (
     Mode,
     RankingConfig,
     combined_score,
-    format_run_lines,
     pure_frequency_rerank,
     rerank,
     write_run_file,
@@ -250,9 +249,11 @@ def test_rerank_matches_brute_force_oracle():
                 assert abs(got - want) <= 1e-9
 
 
-def test_run_lines_format():
+def test_run_lines_format(tmp_path):
     ranked = ranked_list("126", ["doc9", "doc2"], scores=[2.5, 0.125], tag="brad", dropped=3)
-    assert format_run_lines(ranked) == [
+    path = tmp_path / "brad.run"
+    write_run_file([ranked], path)
+    assert path.read_text(encoding="utf-8").splitlines() == [
         "126 Q0 doc9 1 2.500000 brad",
         "126 Q0 doc2 2 0.125000 brad",
     ]

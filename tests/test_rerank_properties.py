@@ -1,12 +1,16 @@
-"""Property-based differential tests of re-ranking against the naive oracle."""
+"""Property-based differential tests of re-ranking and run files against the naive oracle."""
+import tempfile
+from pathlib import Path
+
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import naive_doc_ef, naive_entity_counts, naive_rerank, naive_search
+from oracle import naive_doc_ef, naive_entity_counts, naive_rerank, naive_run_lines, naive_search
 from lotkarank.corpus import DocumentRecord
-from lotkarank.index import build_index, search
+from lotkarank.index import ResultSet, build_index, search
 from lotkarank.informetrics import EntityField, entity_frequencies
-from lotkarank.rerank import MissingPolicy, Mode, RankingConfig, rerank
+from lotkarank.rerank import MissingPolicy, Mode, RankingConfig, rerank, write_run_file
 
 _NAMES = st.text(st.characters(categories=("Lu", "Ll", "Lo", "Nd", "Pd")), min_size=1, max_size=5)
 _WORDS = ["alpha", "béta", "γάμμα", "δ", "日本"]
@@ -78,3 +82,45 @@ def test_entity_frequencies_match_naive_counts(case):
         doc_ef = [naive_doc_ef(by_id[doc_id], counts, field.value) for doc_id in rs.doc_ids()]
         assert table.covered_docs == sum(ef is not None for ef in doc_ef)
         assert table.doc_ef.tolist() == [ef or 0 for ef in doc_ef]
+
+
+# ids as run files carry them: any printable characters but whitespace
+_IDS = st.text(st.characters(blacklist_categories=("Zs", "Zl", "Zp", "Cc", "Cs")), min_size=1, max_size=4)
+_BOTH_WIDTHS = [0.0, -0.0, 1.0, 0.1234565, float("inf"), float("-inf"), float("nan")]
+_SCORES = {
+    # any float64 bit pattern: NaNs with any payload and sign, subnormals, both zeros, infinities
+    "float64": st.one_of(st.sampled_from(_BOTH_WIDTHS + [5e-324, -5e-324, 2.2250738585072014e-308, 1e300]),
+                         st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64)))),
+    "float32": st.one_of(st.sampled_from(_BOTH_WIDTHS + [1e-45, -1e-45, 3e38]), st.floats(width=32)),
+    "int64": st.integers(-(2**63), 2**63 - 1),
+}
+
+
+@st.composite
+def run_lists(draw):
+    dtype = draw(st.sampled_from(sorted(_SCORES)))
+    # a few values drawn once and reused, so many entries share a score
+    pool = draw(st.lists(_SCORES[dtype], min_size=1, max_size=4))
+    lists = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        table = draw(st.lists(_IDS, max_size=12, unique=True))
+        positions = draw(st.permutations(range(len(table))))[:draw(st.integers(0, len(table)))]
+        scores = draw(st.lists(st.sampled_from(pool) | _SCORES[dtype],
+                               min_size=len(positions), max_size=len(positions)))
+        lists.append(ResultSet(query_id=draw(_IDS), positions=np.array(positions, dtype=np.intp),
+                               scores=np.array(scores, dtype=dtype), doc_id_table=table, tag=draw(_IDS)))
+    return lists
+
+
+@settings(derandomize=True, deadline=None)
+@given(run_lists())
+def test_run_file_matches_naive_lines(lists):
+    expected = "".join(
+        naive_run_lines(rs.query_id, [rs.doc_id_table[p] for p in rs.positions.tolist()], rs.scores.tolist(), rs.tag)
+        for rs in lists
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.run"
+        write_run_file(lists, path)
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert sorted(p.name for p in Path(tmp).iterdir()) == ["x.run"]
