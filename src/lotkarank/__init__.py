@@ -13,12 +13,11 @@ from .evaluation import (
     precision_at_k,
     run_evaluation,
 )
-from .index import InvertedIndex, ResultSet, build_index, search, tfidf_score
+from .index import InvertedIndex, ResultSet, build_index, search
 from .informetrics import (
     EntityField,
     EntityFrequencyTable,
     PowerLawFit,
-    doc_entity_frequency,
     entity_frequencies,
     fit_power_law,
     rank_frequency_series,
@@ -28,7 +27,6 @@ from .rerank import (
     Mode,
     RankingConfig,
     combined_score,
-    pure_frequency_rerank,
     rerank,
 )
 

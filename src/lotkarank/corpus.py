@@ -7,6 +7,7 @@ is rejected.
 """
 import json
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -152,8 +153,18 @@ def parse_corpus(lines) -> list[DocumentRecord]:
     return records
 
 
-def load_corpus(path) -> list[DocumentRecord]:
+@contextmanager
+def open_text(path):
+    """open(path, encoding="utf-8") for reading; ValueError naming path if the file is not UTF-8."""
     with open(path, encoding="utf-8") as fin:
+        try:
+            yield fin
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path} is not UTF-8 text ({exc.reason})") from None
+
+
+def load_corpus(path) -> list[DocumentRecord]:
+    with open_text(path) as fin:
         return parse_corpus(fin)
 
 

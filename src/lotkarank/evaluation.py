@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .corpus import open_text
 from .index import InvertedIndex, ResultSet, search
 from .output import whole_file
 from .rerank import RankingConfig, rerank
@@ -65,7 +66,7 @@ def parse_topics(lines) -> list[Topic]:
 
 
 def load_topics(path) -> list[Topic]:
-    with open(path, encoding="utf-8") as fin:
+    with open_text(path) as fin:
         return parse_topics(fin)
 
 
@@ -92,7 +93,7 @@ def parse_qrels(lines) -> QrelSet:
 
 
 def load_qrels(path) -> QrelSet:
-    with open(path, encoding="utf-8") as fin:
+    with open_text(path) as fin:
         return parse_qrels(fin)
 
 

@@ -24,6 +24,10 @@ The index holds no document records: a document is its position and its
 doc_id (``_doc_ids``, sorted), and ``InvertedIndex.position`` maps one to
 the other.
 
+``InvertedIndex(...)`` takes these tables and is the one place that sets
+them and stores each integer table in its type; ``build_index`` computes
+the tables from records and ``InvertedIndex.load`` checks them from a file.
+
 A saved index is an uncompressed zip of ``.npy`` members, as ``np.savez``
 writes, but with a fixed timestamp so that equal indexes give equal bytes.
 It holds arrays only: the layout tag (``format``, UTF-8 bytes), each
@@ -160,44 +164,25 @@ class InvertedIndex:
     sorted by doc_id so the index is identical for any input permutation.
     """
 
-    def __init__(self, docs):
-        if not docs:
-            raise ValueError("cannot build an index from an empty corpus")
-        ordered = sorted(docs, key=lambda rec: rec.doc_id)
-        self._doc_ids = [rec.doc_id for rec in ordered]
-        duplicate = next((a for a, b in zip(self._doc_ids, self._doc_ids[1:]) if a == b), None)
-        if duplicate is not None:
-            raise ValueError(f"duplicate doc_id {duplicate!r}")
-        self.corpus_size = len(ordered)
+    def __init__(self, doc_ids, term_ids, ptr, docs, tfs, journal_names, journal_codes,
+                 author_names, author_ptr, author_codes):
+        """The index over consistent tables, as build_index makes and load checks them.
 
-        # one (row, tf) pair per distinct term of each document, in doc order
-        self._term_ids: dict[str, int] = {}
-        rows, tfs, lengths = [], [], []
-        issns, authors, author_counts = [], [], []
-        for rec in ordered:
-            counts = Counter(tokenize(rec.title) + tokenize(rec.body))
-            rows.extend(self._term_ids.setdefault(term, len(self._term_ids)) for term in counts)
-            tfs.extend(counts.values())
-            lengths.append(len(counts))
-            issns.append(rec.journal_issn)
-            authors.extend(rec.authors)
-            author_counts.append(len(rec.authors))
-        rows = np.array(rows, dtype=np.int64)
-        # a stable sort by row keeps each row's postings in doc order
-        order = np.argsort(rows, kind="stable")
-        positions = _narrow(np.arange(self.corpus_size), self.corpus_size - 1)
-        self._docs = np.repeat(positions, lengths)[order]
-        tfs = np.array(tfs, dtype=np.int64)
-        # initial=0: a corpus whose texts are all empty has no postings
-        self._tfs = _narrow(tfs, tfs.max(initial=0))[order]
-        ptr = np.zeros(len(self._term_ids) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=len(self._term_ids)), out=ptr[1:])
-        self._ptr = _narrow(ptr, len(rows))
-
-        self._journal_names, self._journal_codes = _entity_codes(issns)
-        self._author_names, self._author_codes = _entity_codes(authors)
-        self._author_ptr = np.zeros(self.corpus_size + 1, dtype=np.int64)
-        np.cumsum(author_counts, out=self._author_ptr[1:])
+        doc_ids is sorted and term_ids maps each term to its row. The integer
+        tables may come in any integer type; each is stored in the type the
+        module docstring names.
+        """
+        self.corpus_size = len(doc_ids)
+        self._doc_ids = doc_ids
+        self._term_ids = term_ids
+        self._ptr = _narrow(ptr, len(docs))
+        self._docs = _narrow(docs, self.corpus_size - 1)
+        self._tfs = _narrow(tfs, tfs.max(initial=0))  # initial=0: an index may have no postings
+        self._journal_names = journal_names
+        self._journal_codes = journal_codes.astype(np.int32, copy=False)
+        self._author_names = author_names
+        self._author_ptr = author_ptr.astype(np.int64, copy=False)
+        self._author_codes = author_codes.astype(np.int32, copy=False)
 
     def postings(self, term: str):
         """(doc positions, tfs) of the term, sorted by doc_id; None if not indexed."""
@@ -235,18 +220,8 @@ class InvertedIndex:
     def __eq__(self, other):
         if not isinstance(other, InvertedIndex):
             return NotImplemented
-        return (
-            self._doc_ids == other._doc_ids
-            and self._term_ids == other._term_ids
-            and np.array_equal(self._ptr, other._ptr)
-            and np.array_equal(self._docs, other._docs)
-            and np.array_equal(self._tfs, other._tfs)
-            and self._journal_names == other._journal_names
-            and np.array_equal(self._journal_codes, other._journal_codes)
-            and self._author_names == other._author_names
-            and np.array_equal(self._author_ptr, other._author_ptr)
-            and np.array_equal(self._author_codes, other._author_codes)
-        )
+        mine, theirs = self._members(), other._members()
+        return all(np.array_equal(mine[name], theirs[name]) for name in _MEMBERS)
 
     def term_count(self) -> int:
         return len(self._term_ids)
@@ -348,45 +323,47 @@ class InvertedIndex:
                  "author_ptr does not split author_codes into documents")
         _require(_within(author_codes, 0, len(author_names) - 1), "an author code is out of range")
 
-        index = object.__new__(cls)
-        index.corpus_size = n
-        index._doc_ids = doc_ids
-        index._term_ids = term_ids
-        index._ptr = _narrow(ptr, len(docs))
-        index._docs = _narrow(docs, n - 1)
-        index._tfs = _narrow(tfs, tfs.max(initial=0))
-        index._journal_names = journal_names
-        index._journal_codes = journal_codes.astype(np.int32, copy=False)
-        index._author_names = author_names
-        index._author_ptr = author_ptr.astype(np.int64, copy=False)
-        index._author_codes = author_codes.astype(np.int32, copy=False)
-        return index
+        return cls(doc_ids, term_ids, ptr, docs, tfs, journal_names, journal_codes,
+                   author_names, author_ptr, author_codes)
 
 
 def build_index(docs) -> InvertedIndex:
     """Index a nonempty list of DocumentRecords (title + body are the indexed text)."""
-    return InvertedIndex(docs)
+    if not docs:
+        raise ValueError("cannot build an index from an empty corpus")
+    ordered = sorted(docs, key=lambda rec: rec.doc_id)
+    doc_ids = [rec.doc_id for rec in ordered]
+    duplicate = next((a for a, b in zip(doc_ids, doc_ids[1:]) if a == b), None)
+    if duplicate is not None:
+        raise ValueError(f"duplicate doc_id {duplicate!r}")
 
-
-def tfidf_score(query_tokens, doc_id: str, index: InvertedIndex) -> float:
-    """Score one document: sum of tf * ln(N / df) over the query tokens.
-
-    Repeated query tokens contribute once per occurrence; tokens absent
-    from the index contribute nothing.
-    """
-    pos = index.position(doc_id)
-    total = 0.0
-    for token in query_tokens:
-        hit = index.postings(token)
-        if hit is None:
-            continue
-        docs, tfs = hit
-        i = np.searchsorted(docs, pos)
-        if i == len(docs) or docs[i] != pos:
-            continue
-        idf = math.log(index.corpus_size / len(docs))
-        total += tfs[i] * idf
-    return total
+    # one (row, tf) pair per distinct term of each document, in doc order
+    term_ids: dict[str, int] = {}
+    rows, tfs, lengths = [], [], []
+    issns, authors, author_counts = [], [], []
+    for rec in ordered:
+        counts = Counter(tokenize(rec.title) + tokenize(rec.body))
+        rows.extend(term_ids.setdefault(term, len(term_ids)) for term in counts)
+        tfs.extend(counts.values())
+        lengths.append(len(counts))
+        issns.append(rec.journal_issn)
+        authors.extend(rec.authors)
+        author_counts.append(len(rec.authors))
+    rows = np.array(rows, dtype=np.int64)
+    ptr = np.zeros(len(term_ids) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=len(term_ids)), out=ptr[1:])
+    # a stable sort by row keeps each row's postings in doc order
+    order = np.argsort(rows, kind="stable")
+    del rows  # each int64 posting array is freed once used: the build's peak memory is here
+    tfs = np.array(tfs, dtype=np.int64)[order]
+    docs = np.repeat(np.arange(len(ordered)), lengths)[order]
+    del order
+    journal_names, journal_codes = _entity_codes(issns)
+    author_names, author_codes = _entity_codes(authors)
+    author_ptr = np.zeros(len(ordered) + 1, dtype=np.int64)
+    np.cumsum(author_counts, out=author_ptr[1:])
+    return InvertedIndex(doc_ids, term_ids, ptr, docs, tfs, journal_names, journal_codes,
+                         author_names, author_ptr, author_codes)
 
 
 def search(query: str, index: InvertedIndex, query_id: str = "q") -> ResultSet:

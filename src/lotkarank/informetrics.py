@@ -2,7 +2,8 @@
 
 Counts how many retrieved documents share a metadata entity (journal ISSN
 or author name), turns the counts into a rank-frequency series, and fits
-f(x) = c * x**-alpha by least squares in log-log space.
+f(x) = c * x**-alpha by least squares in log-log space. Each document's
+entity frequency comes from the same count (``EntityFrequencyTable.doc_ef``).
 """
 import csv
 import io
@@ -25,7 +26,7 @@ class EntityFrequencyTable:
     covered_docs: int  # result-set documents with at least one value
     result_size: int  # N of the originating ResultSet
     # entity frequency of each result-set entry in rank order, 0 where the field
-    # is missing (see doc_entity_frequency); set by entity_frequencies
+    # is missing; set by entity_frequencies
     doc_ef: np.ndarray | None = dc_field(default=None, repr=False, compare=False)
 
 
@@ -42,7 +43,9 @@ def entity_frequencies(rs: ResultSet, field: EntityField, index: InvertedIndex) 
 
     A document increments one count per distinct value it carries (one for
     its journal, one per author); documents without the field contribute
-    nothing. The table's doc_ef holds each entry's entity frequency.
+    nothing. The table's doc_ef holds each entry's entity frequency: the
+    largest count among its values, so a document counts as strongly as its
+    most frequent entity, and 0 when it lacks the field.
     """
     codes, sizes, names = index.entity_codes(field, rs.positions)
     counts = np.bincount(codes, minlength=len(names))
@@ -58,17 +61,6 @@ def entity_frequencies(rs: ResultSet, field: EntityField, index: InvertedIndex) 
         result_size=rs.set_size,
         doc_ef=doc_ef,
     )
-
-
-def doc_entity_frequency(doc_id: str, table: EntityFrequencyTable, index: InvertedIndex):
-    """Entity frequency of one document, or None when the field is missing.
-
-    Multi-valued fields take the maximum count over the document's values,
-    so a document counts as strongly as its most frequent entity.
-    """
-    codes, _, names = index.entity_codes(table.field, np.array([index.position(doc_id)]))
-    known = [table.counts[names[code]] for code in codes.tolist() if names[code] in table.counts]
-    return max(known) if known else None
 
 
 def _ranked_entities(table: EntityFrequencyTable) -> list[tuple[str, int]]:

@@ -3,8 +3,11 @@
 Three strategies: pure frequency ordering by journal (brad) or author
 (lotka), and the combined score tfidf * (ef / N)**k. Positive k favors
 mainstream entities, negative k the long tail; k = 0 collapses to the
-tf-idf order. Every strategy returns a ResultSet over the same index, so
-a re-ranked list is the same type as the tf-idf set it came from.
+tf-idf order. ``rerank`` is the one path for all of them: it reads each
+document's entity frequency from ``entity_frequencies(...).doc_ef``,
+keeps the documents the mode keeps and sorts them with one ``np.lexsort``.
+Every strategy returns a ResultSet over the same index, so a re-ranked
+list is the same type as the tf-idf set it came from.
 """
 import math
 from dataclasses import dataclass, replace
@@ -61,31 +64,27 @@ class RankingConfig:
         return self.mode.value
 
 
+def _overflow(k: float) -> ValueError:
+    return ValueError(f"k={k} makes a combined score overflow; use a k of smaller magnitude")
+
+
 def combined_score(tfidf: float, ef: int, n: int, k: float) -> float:
-    """tfidf * (ef / n)**k for a document with entity frequency ef in a result set of n."""
+    """tfidf * (ef / n)**k for a document with entity frequency ef in a result set of n.
+
+    ValueError naming k if the factor or the score is beyond float range.
+    """
     if n < 1:
         raise ValueError("result set size must be >= 1")
     if ef < 1 or ef > n:
         raise ValueError(f"entity frequency must be in 1..{n}, got {ef} "
                          "(apply the missing policy before scoring)")
-    return tfidf * (ef / n) ** k
-
-
-def pure_frequency_rerank(rs: ResultSet, field: EntityField, index: InvertedIndex) -> ResultSet:
-    """Order by entity frequency alone; tf-idf is the inner (secondary) ranking.
-
-    Documents without the field are dropped and counted. The final score is
-    the frequency itself.
-    """
-    ef = entity_frequencies(rs, field, index).doc_ef
-    keep = ef > 0
-    positions, tfidf, ef = rs.positions[keep], rs.scores[keep], ef[keep]
-    # (ef desc, tfidf desc, doc_id asc): positions follow doc_id order
-    order = np.lexsort((positions, -tfidf, -ef))
-    tag = Mode.BRADFORD.value if field is EntityField.JOURNAL else Mode.LOTKA.value
-    dropped = rs.set_size - len(order)
-    return replace(rs, positions=positions[order], scores=ef[order].astype(np.float64), tag=tag,
-                   dropped=dropped)
+    try:
+        score = tfidf * (ef / n) ** k
+    except OverflowError:
+        raise _overflow(k) from None
+    if math.isinf(score):
+        raise _overflow(k)
+    return score
 
 
 def rerank(rs: ResultSet, config: RankingConfig, index: InvertedIndex) -> ResultSet:
@@ -94,29 +93,37 @@ def rerank(rs: ResultSet, config: RankingConfig, index: InvertedIndex) -> Result
     The result is a copy of ``rs`` with the new order and scores, the
     config's run tag and the count of the documents it dropped; ``rs``
     itself is left unchanged. TFIDF passes the set through unchanged.
-    BRADFORD/LOTKA use the pure frequency order (field-missing documents
-    always dropped). COMBINED scores retained documents with
+    BRADFORD/LOTKA order by entity frequency alone, with tf-idf as the
+    inner ranking, score each document with its frequency and always drop
+    field-missing documents. COMBINED scores retained documents with
     tfidf * (ef / N)**k where N is the full result-set size; the missing
     policy decides whether field-missing documents are dropped or kept at
-    their tf-idf score.
+    their tf-idf score. ValueError naming k if a combined score overflows.
     """
     if config.mode is Mode.TFIDF:
         return replace(rs, tag=config.run_tag, dropped=0)
-    if config.mode in (Mode.BRADFORD, Mode.LOTKA):
-        return pure_frequency_rerank(rs, config.field, index)
-
     ef = entity_frequencies(rs, config.field, index).doc_ef
     n = rs.set_size
-    has = ef > 0
-    # the factor (ef / n) ** k with Python's pow, once per distinct ef (np.power can
-    # differ in the last bit); field-missing documents keep 1.0, their tf-idf score
-    distinct, which = np.unique(ef[has], return_inverse=True)
-    factor = np.ones(n, dtype=np.float64)
-    factor[has] = np.array([combined_score(1.0, e, n, config.k) for e in distinct.tolist()])[which]
-    keep = has if config.missing_policy is MissingPolicy.DROP else np.ones(n, dtype=bool)
-    positions, scores = rs.positions[keep], rs.scores[keep] * factor[keep]
-    # (score desc, doc_id asc)
-    order = np.lexsort((positions, -scores))
+    combined = config.mode is Mode.COMBINED
+    keep = (ef > 0) | (combined and config.missing_policy is MissingPolicy.PASSTHROUGH)
+    positions, tfidf, ef = rs.positions[keep], rs.scores[keep], ef[keep]
+    if combined:
+        # the factor (ef / n) ** k with Python's pow, once per distinct ef (np.power can
+        # differ in the last bit); field-missing documents keep 1.0, their tf-idf score
+        has = ef > 0
+        distinct, which = np.unique(ef[has], return_inverse=True)
+        factor = np.ones(len(ef), dtype=np.float64)
+        factor[has] = np.array([combined_score(1.0, e, n, config.k) for e in distinct.tolist()])[which]
+        with np.errstate(over="ignore"):
+            scores = tfidf * factor
+        if np.isinf(scores).any():
+            raise _overflow(config.k)
+        keys = (positions, -scores)  # (score desc, doc_id asc)
+    else:
+        scores = ef.astype(np.float64)
+        keys = (positions, -tfidf, -ef)  # (ef desc, tfidf desc, doc_id asc)
+    # positions follow doc_id order
+    order = np.lexsort(keys)
     return replace(rs, positions=positions[order], scores=scores[order], tag=config.run_tag,
                    dropped=n - len(order))
 

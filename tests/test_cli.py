@@ -462,6 +462,66 @@ def test_output_in_missing_directory_names_the_path(tmp_path, capsys, command):
     assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{outputs[0]}'\n"
 
 
+def _overflow_fixture(tmp_path):
+    """An index where "quake" retrieves d1 (tf-idf 20 ln 1.5) and d2, each by its own author."""
+    records = [
+        DocumentRecord(doc_id="d1", title="quake", body=" ".join(["quake"] * 19), authors=["Ada"]),
+        DocumentRecord(doc_id="d2", title="quake", authors=["Bob"]),
+        DocumentRecord(doc_id="d3", title="flood", authors=["Cid"]),
+    ]
+    save_corpus(records, tmp_path / "corpus.jsonl")
+    idx = tmp_path / "c.idx"
+    assert main(["index", "--corpus", str(tmp_path / "corpus.jsonl"), "--out", str(idx)]) == 0
+    _write(tmp_path / "topics.tsv", ["t1\tquake"])
+    _write(tmp_path / "qrels.txt", ["t1 0 d1 1"])
+    return idx
+
+
+# ef 1 of N 2: the factor 2 ** -k is past float range at k = -1100; at k = -1022 it is
+# not, but d1's score (20 ln 1.5 times it) is
+@pytest.mark.parametrize("k", ["-1100", "-1022"])
+@pytest.mark.parametrize("command", ["rerank", "eval"])
+def test_combined_overflow_is_one_error_naming_k(tmp_path, capsys, command, k):
+    idx = _overflow_fixture(tmp_path)
+    assert math.isinf(20 * math.log(1.5) * 2.0 ** 1022)
+    out = tmp_path / "out"
+    argv = {
+        "rerank": ["rerank", "--index", str(idx), "--query", "quake", "--out", str(out)],
+        "eval": ["eval", "--index", str(idx), "--topics", str(tmp_path / "topics.tsv"),
+                 "--qrels", str(tmp_path / "qrels.txt"), "--out", str(out)],
+    }[command]
+    mode = ["--mode", "combined"] if command == "rerank" else ["--modes", "tfidf,combined"]
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    assert main(argv + mode + ["--field", "author", f"--k={k}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: k={float(k)} makes a combined score overflow; use a k of smaller magnitude\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("bad", ["corpus", "topics", "qrels"])
+def test_input_that_is_not_utf8_is_named(tmp_path, capsys, bad):
+    idx = _overflow_fixture(tmp_path)
+    path = tmp_path / f"{bad}.bad"
+    good = {"corpus": tmp_path / "corpus.jsonl", "topics": tmp_path / "topics.tsv", "qrels": tmp_path / "qrels.txt"}
+    # 0xff is never part of UTF-8; blank lines put it past the decoder's first chunk
+    path.write_bytes(good[bad].read_bytes() + b"\n" * 9000 + b"\xff\n")
+    good[bad] = path
+    if bad == "corpus":
+        argv = ["index", "--corpus", str(path), "--out", str(tmp_path / "new.idx")]
+    else:
+        argv = ["eval", "--index", str(idx), "--topics", str(good["topics"]), "--qrels", str(good["qrels"]),
+                "--modes", "tfidf", "--out", str(tmp_path / "exp")]
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path} is not UTF-8 text (invalid start byte)\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def _power_law_author_corpus(tmp_path):
     # author doc-counts 36, 9, 4 are exactly 36 * x**-2 at ranks 1, 2, 3
     records = []

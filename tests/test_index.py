@@ -10,7 +10,7 @@ import pytest
 from helpers import CreatesFileOnUnpickle, random_small_corpus
 from oracle import naive_search, naive_tokenize
 from lotkarank.corpus import DocumentRecord, EntityField
-from lotkarank.index import InvertedIndex, _pack_strings, build_index, search, tfidf_score
+from lotkarank.index import InvertedIndex, _pack_strings, build_index, search
 
 
 def _doc(doc_id, title, body="", **kwargs):
@@ -107,19 +107,21 @@ def test_index_invariants_on_random_corpus():
 
 def test_tfidf_score_unknown_token_contributes_zero():
     index = build_index([_doc("d1", "a"), _doc("d2", "b")])
-    assert tfidf_score(["nope"], "d1", index) == 0.0
+    assert search("nope", index).set_size == 0
+    assert search("nope a", index).entries == search("a", index).entries
 
 
 def test_tfidf_score_ubiquitous_token_is_zero():
     index = build_index([_doc("d1", "a"), _doc("d2", "a")])
-    assert tfidf_score(["a"], "d1", index) == 0.0
+    assert search("a", index).set_size == 0
 
 
 def test_tfidf_score_hand_computed():
     # tf = 3 in d1, df = 2, corpus of 4: score = 3 * ln(4/2)
     docs = [_doc("d1", "t t t"), _doc("d2", "t"), _doc("d3", "x"), _doc("d4", "y")]
     index = build_index(docs)
-    score = tfidf_score(["t"], "d1", index)
+    doc_id, score, rank = search("t", index).entries[0]
+    assert (doc_id, rank) == ("d1", 1)
     assert score == pytest.approx(3 * math.log(2), rel=1e-12)
     assert score == pytest.approx(2.0794, abs=1e-4)
 
@@ -127,15 +129,17 @@ def test_tfidf_score_hand_computed():
 def test_tfidf_score_repeated_query_tokens_add_up():
     docs = [_doc("d1", "t t t"), _doc("d2", "u")]
     index = build_index(docs)
-    assert tfidf_score(["t", "t"], "d1", index) == pytest.approx(
-        2 * tfidf_score(["t"], "d1", index), rel=1e-12
-    )
+    once, twice = search("t", index), search("t t", index)
+    assert twice.doc_ids() == once.doc_ids() == ["d1"]
+    assert twice.scores.tolist() == (2 * once.scores).tolist()
 
 
 def test_tfidf_score_unknown_doc_raises():
-    index = build_index([_doc("d1", "a")])
+    index = build_index([_doc("d1", "a"), _doc("d0", "b")])
+    assert index.position("d0") == 0
+    assert index.position("d1") == 1
     with pytest.raises(KeyError):
-        tfidf_score(["a"], "missing", index)
+        index.position("missing")
 
 
 def test_search_no_indexed_tokens_gives_empty_set():
@@ -213,9 +217,7 @@ def test_search_ordering_equals_tfidf_score_ordering():
     rng = random.Random(5)
     records, query = random_small_corpus(rng)
     index = build_index(records)
-    tokens = naive_tokenize(query)
-    scored = [(rec.doc_id, tfidf_score(tokens, rec.doc_id, index)) for rec in records]
-    scored = [(doc_id, s) for doc_id, s in scored if s > 0]
+    scored = [(doc_id, s) for doc_id, s, _ in naive_search(records, query) if s > 0]
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     assert search(query, index).doc_ids() == [doc_id for doc_id, _ in scored]
 

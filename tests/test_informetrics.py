@@ -11,7 +11,6 @@ from lotkarank.index import ResultSet, build_index, search
 from lotkarank.informetrics import (
     EntityField,
     EntityFrequencyTable,
-    doc_entity_frequency,
     entity_frequencies,
     export_series_csv,
     fit_power_law,
@@ -75,18 +74,24 @@ def test_entity_frequencies_match_brute_force_recount():
             assert table.covered_docs <= table.result_size
 
 
+def _doc_ef(doc_id, table, rs):
+    """The document's entity frequency, read from table.doc_ef at its rank in rs."""
+    return table.doc_ef[rs.doc_ids().index(doc_id)]
+
+
 def test_doc_entity_frequency_missing_field_is_none():
     index, rs = _corpus_with([("d1", [], None), ("d2", ["A"], "1111-1111")])
     journal_table = entity_frequencies(rs, EntityField.JOURNAL, index)
     author_table = entity_frequencies(rs, EntityField.AUTHOR, index)
-    assert doc_entity_frequency("d1", journal_table, index) is None
-    assert doc_entity_frequency("d1", author_table, index) is None
+    assert _doc_ef("d1", journal_table, rs) == 0
+    assert _doc_ef("d1", author_table, rs) == 0
+    assert _doc_ef("d2", journal_table, rs) == _doc_ef("d2", author_table, rs) == 1
 
 
 def test_doc_entity_frequency_single_journal_lookup():
     index, rs = _corpus_with([(f"d{i}", [], "0000-111X") for i in range(7)])
     table = entity_frequencies(rs, EntityField.JOURNAL, index)
-    assert doc_entity_frequency("d3", table, index) == 7
+    assert _doc_ef("d3", table, rs) == 7
 
 
 def test_doc_entity_frequency_takes_max_over_authors():
@@ -97,14 +102,17 @@ def test_doc_entity_frequency_takes_max_over_authors():
     table = entity_frequencies(rs, EntityField.AUTHOR, index)
     assert table.counts["A"] == 5
     assert table.counts["B"] == 2
-    assert doc_entity_frequency("both", table, index) == 5
+    assert _doc_ef("both", table, rs) == 5
+    assert _doc_ef("b1", table, rs) == 2
 
 
 def test_doc_entity_frequency_unknown_doc_raises():
     index, rs = _corpus_with([("d1", ["A"], None)])
     table = entity_frequencies(rs, EntityField.AUTHOR, index)
+    assert len(table.doc_ef) == rs.set_size
+    assert "ghost" not in rs.doc_ids()
     with pytest.raises(KeyError):
-        doc_entity_frequency("ghost", table, index)
+        index.position("ghost")
 
 
 def _table(counts):

@@ -1,5 +1,7 @@
 import dataclasses
+import math
 import random
+import warnings
 
 import pytest
 
@@ -13,7 +15,6 @@ from lotkarank.rerank import (
     Mode,
     RankingConfig,
     combined_score,
-    pure_frequency_rerank,
     rerank,
     write_run_file,
 )
@@ -92,7 +93,7 @@ def test_pure_rerank_single_journal_falls_back_to_tfidf_order():
     index, rs = _indexed(
         [("d1", 0, [], "1111-1111"), ("d2", 2, [], "1111-1111"), ("d3", 1, [], "1111-1111")]
     )
-    ranked = pure_frequency_rerank(rs, EntityField.JOURNAL, index)
+    ranked = rerank(rs, RankingConfig(mode=Mode.BRADFORD), index)
     assert ranked.doc_ids() == ["d2", "d3", "d1"]  # inner ranking = tfidf descending
     assert [score for _, score, _ in ranked.entries] == [3.0, 3.0, 3.0]
     assert ranked.dropped == 0
@@ -109,7 +110,7 @@ def test_pure_rerank_groups_by_frequency_then_tfidf():
             ("d5", 5, [], "AAAA-AAAA"),
         ]
     )
-    ranked = pure_frequency_rerank(rs, EntityField.JOURNAL, index)
+    ranked = rerank(rs, RankingConfig(mode=Mode.BRADFORD), index)
     assert ranked.doc_ids() == ["d5", "d1", "d2", "d3"]
     assert [score for _, score, _ in ranked.entries] == [3.0, 3.0, 3.0, 1.0]
     assert ranked.tag == "brad"
@@ -117,14 +118,14 @@ def test_pure_rerank_groups_by_frequency_then_tfidf():
 
 def test_pure_rerank_drops_docs_without_field():
     index, rs = _indexed([("d1", 0, [], "1111-1111"), ("d2", 0, [], None), ("d3", 0, [], None)])
-    ranked = pure_frequency_rerank(rs, EntityField.JOURNAL, index)
+    ranked = rerank(rs, RankingConfig(mode=Mode.BRADFORD), index)
     assert ranked.doc_ids() == ["d1"]
     assert ranked.dropped == 2
 
 
 def test_pure_rerank_author_tag_is_lotka():
     index, rs = _indexed([("d1", 0, ["A"], None)])
-    assert pure_frequency_rerank(rs, EntityField.AUTHOR, index).tag == "lotka"
+    assert rerank(rs, RankingConfig(mode=Mode.LOTKA), index).tag == "lotka"
 
 
 def test_rerank_tfidf_is_identity():
@@ -194,6 +195,28 @@ def test_rerank_monotone_in_ef_for_positive_k():
     assert all(a < b for a, b in zip(scores, scores[1:]))
     scores = [combined_score(2.5, ef, 50, -1.5) for ef in range(1, 51)]
     assert all(a > b for a, b in zip(scores, scores[1:]))
+
+
+def test_combined_score_names_k_when_out_of_float_range():
+    # (1/2) ** -1100 is past float range; (1/2) ** -1023.5 is not, but 4 times it is
+    with pytest.raises(ValueError, match=r"^k=-1100\.0 "):
+        combined_score(1.0, 1, 2, -1100.0)
+    assert combined_score(1.0, 1, 2, -1023.5) == 0.5 ** -1023.5
+    with pytest.raises(ValueError, match=r"^k=-1023\.5 "):
+        combined_score(4.0, 1, 2, -1023.5)
+
+
+@pytest.mark.parametrize("k", [-700.0, -645.0])  # the factor overflows; the factor times tf-idf does
+@pytest.mark.parametrize("policy", list(MissingPolicy))
+def test_rerank_combined_overflow_names_k(k, policy):
+    # three retrieved docs, two with one author each: ef 1 of N 3, a factor of 3 ** -k
+    index, rs = _indexed([("d1", 20, ["A"], None), ("d2", 0, ["B"], None), ("d3", 0, [], None)])
+    assert math.isfinite(3.0 ** 645) and math.isinf(float(rs.scores[0]) * 3.0 ** 645)
+    config = RankingConfig(mode=Mode.COMBINED, field=EntityField.AUTHOR, k=k, missing_policy=policy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning on the way
+        with pytest.raises(ValueError, match=f"^k={k} makes a combined score overflow"):
+            rerank(rs, config, index)
 
 
 def test_rerank_ordering_invariant_under_tfidf_scaling():
