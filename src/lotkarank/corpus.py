@@ -13,10 +13,10 @@ from enum import Enum
 
 REQUIRED_KEYS = ("id", "title", "body", "authors")
 OPTIONAL_KEYS = ("issn", "journal", "publisher", "year")
+_KEYS = frozenset(REQUIRED_KEYS + OPTIONAL_KEYS)
 
 # alphanumeric runs (unicode-aware, underscore excluded)
 _TOKEN_RE = re.compile(r"[^\W_]+")
-_WS_RE = re.compile(r"\s+")
 
 
 class EntityField(Enum):
@@ -69,7 +69,7 @@ class DocumentRecord:
         for name in self.authors:
             if not isinstance(name, str):
                 raise CorpusError(f"doc_id {self.doc_id!r}: author names must be strings")
-            name = _WS_RE.sub(" ", name.strip())
+            name = " ".join(name.split())  # strip, and collapse each whitespace run to one space
             if not name:
                 raise CorpusError(f"doc_id {self.doc_id!r}: empty author name")
             if name in normalized:
@@ -102,7 +102,7 @@ class DocumentRecord:
 
 
 def _record_from_obj(obj: dict) -> DocumentRecord:
-    unknown = set(obj) - set(REQUIRED_KEYS) - set(OPTIONAL_KEYS)
+    unknown = obj.keys() - _KEYS
     if unknown:
         raise CorpusError(f"unknown keys: {', '.join(sorted(unknown))}")
     missing = [k for k in REQUIRED_KEYS if k not in obj]

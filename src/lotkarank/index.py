@@ -38,8 +38,9 @@ checks every member before use.
 """
 import math
 import zipfile
+from array import array
 from bisect import bisect_left
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass, field
 from operator import lt
 
@@ -337,32 +338,36 @@ def build_index(docs) -> InvertedIndex:
     if duplicate is not None:
         raise ValueError(f"duplicate doc_id {duplicate!r}")
 
-    # one (row, tf) pair per distinct term of each document, in doc order
-    term_ids: dict[str, int] = {}
-    rows, tfs, lengths = [], [], []
-    issns, authors, author_counts = [], [], []
+    # every token's term id, in doc order; a new term takes the next id, so rows are
+    # numbered in order of first appearance
+    term_ids = defaultdict()
+    term_ids.default_factory = term_ids.__len__
+    ids = array("q")
+    lengths, issns, authors, author_counts = [], [], [], []
     for rec in ordered:
-        counts = Counter(tokenize(rec.title) + tokenize(rec.body))
-        rows.extend(term_ids.setdefault(term, len(term_ids)) for term in counts)
-        tfs.extend(counts.values())
-        lengths.append(len(counts))
+        # "\n" is neither a token character nor cased: the tokens of title + body
+        tokens = tokenize(f"{rec.title}\n{rec.body}")
+        ids.extend(map(term_ids.__getitem__, tokens))
+        lengths.append(len(tokens))
         issns.append(rec.journal_issn)
         authors.extend(rec.authors)
         author_counts.append(len(rec.authors))
-    rows = np.array(rows, dtype=np.int64)
+    n = len(ordered)
+    # one key per token, sorted by (row, doc): each distinct key is a posting in CSR order
+    keys = np.frombuffer(ids, dtype=np.int64) * n
+    del ids
+    keys += np.repeat(np.arange(n, dtype=np.int64), lengths)
+    keys, tfs = np.unique(keys, return_counts=True)
+    rows, docs = np.divmod(keys, n)
+    del keys
     ptr = np.zeros(len(term_ids) + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=len(term_ids)), out=ptr[1:])
-    # a stable sort by row keeps each row's postings in doc order
-    order = np.argsort(rows, kind="stable")
-    del rows  # each int64 posting array is freed once used: the build's peak memory is here
-    tfs = np.array(tfs, dtype=np.int64)[order]
-    docs = np.repeat(np.arange(len(ordered)), lengths)[order]
-    del order
     journal_names, journal_codes = _entity_codes(issns)
     author_names, author_codes = _entity_codes(authors)
-    author_ptr = np.zeros(len(ordered) + 1, dtype=np.int64)
+    author_ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(author_counts, out=author_ptr[1:])
-    return InvertedIndex(doc_ids, term_ids, ptr, docs, tfs, journal_names, journal_codes,
+    # a plain dict: looking up a missing term must not insert it
+    return InvertedIndex(doc_ids, dict(term_ids), ptr, docs, tfs, journal_names, journal_codes,
                          author_names, author_ptr, author_codes)
 
 

@@ -64,14 +64,15 @@ class RankingConfig:
         return self.mode.value
 
 
-def _overflow(k: float) -> ValueError:
-    return ValueError(f"k={k} makes a combined score overflow; use a k of smaller magnitude")
+def _out_of_range(k: float, what: str) -> ValueError:
+    return ValueError(f"k={k} makes a combined score {what}; use a k of smaller magnitude")
 
 
 def combined_score(tfidf: float, ef: int, n: int, k: float) -> float:
     """tfidf * (ef / n)**k for a document with entity frequency ef in a result set of n.
 
-    ValueError naming k if the factor or the score is beyond float range.
+    ValueError naming k if the factor or the score is beyond float range, or if a
+    nonzero tfidf gives a score of 0.0 (the factor underflows).
     """
     if n < 1:
         raise ValueError("result set size must be >= 1")
@@ -81,9 +82,11 @@ def combined_score(tfidf: float, ef: int, n: int, k: float) -> float:
     try:
         score = tfidf * (ef / n) ** k
     except OverflowError:
-        raise _overflow(k) from None
+        raise _out_of_range(k, "overflow") from None
     if math.isinf(score):
-        raise _overflow(k)
+        raise _out_of_range(k, "overflow")
+    if score == 0.0 and tfidf != 0.0:
+        raise _out_of_range(k, "underflow to 0")
     return score
 
 
@@ -98,7 +101,8 @@ def rerank(rs: ResultSet, config: RankingConfig, index: InvertedIndex) -> Result
     field-missing documents. COMBINED scores retained documents with
     tfidf * (ef / N)**k where N is the full result-set size; the missing
     policy decides whether field-missing documents are dropped or kept at
-    their tf-idf score. ValueError naming k if a combined score overflows.
+    their tf-idf score. ValueError naming k if a combined score overflows
+    or underflows to 0.
     """
     if config.mode is Mode.TFIDF:
         return replace(rs, tag=config.run_tag, dropped=0)
@@ -117,7 +121,9 @@ def rerank(rs: ResultSet, config: RankingConfig, index: InvertedIndex) -> Result
         with np.errstate(over="ignore"):
             scores = tfidf * factor
         if np.isinf(scores).any():
-            raise _overflow(config.k)
+            raise _out_of_range(config.k, "overflow")
+        if not scores.all():  # a tf-idf score is > 0, so a 0.0 is an underflow
+            raise _out_of_range(config.k, "underflow to 0")
         keys = (positions, -scores)  # (score desc, doc_id asc)
     else:
         scores = ef.astype(np.float64)

@@ -478,12 +478,14 @@ def _overflow_fixture(tmp_path):
 
 
 # ef 1 of N 2: the factor 2 ** -k is past float range at k = -1100; at k = -1022 it is
-# not, but d1's score (20 ln 1.5 times it) is
-@pytest.mark.parametrize("k", ["-1100", "-1022"])
+# not, but d1's score (20 ln 1.5 times it) is. At k = 1100 the factor rounds to 0; at
+# k = 1074 it is the smallest float, but d2's score (ln 1.5 times it) rounds to 0
+@pytest.mark.parametrize("k", ["-1100", "-1022", "1100", "1074"])
 @pytest.mark.parametrize("command", ["rerank", "eval"])
 def test_combined_overflow_is_one_error_naming_k(tmp_path, capsys, command, k):
     idx = _overflow_fixture(tmp_path)
     assert math.isinf(20 * math.log(1.5) * 2.0 ** 1022)
+    assert 2.0 ** -1074 > 0.0 and math.log(1.5) * 2.0 ** -1074 == 0.0
     out = tmp_path / "out"
     argv = {
         "rerank": ["rerank", "--index", str(idx), "--query", "quake", "--out", str(out)],
@@ -496,7 +498,8 @@ def test_combined_overflow_is_one_error_naming_k(tmp_path, capsys, command, k):
     assert main(argv + mode + ["--field", "author", f"--k={k}"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: k={float(k)} makes a combined score overflow; use a k of smaller magnitude\n"
+    what = "overflow" if float(k) < 0 else "underflow to 0"
+    assert captured.err == f"error: k={float(k)} makes a combined score {what}; use a k of smaller magnitude\n"
     assert sorted(tmp_path.iterdir()) == before
 
 

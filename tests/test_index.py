@@ -88,6 +88,14 @@ def test_title_and_body_are_one_field():
     assert len(index.postings("beta")[0]) == 2
 
 
+def test_postings_of_an_absent_term_leave_the_terms_unchanged():
+    index = build_index([_doc("d1", "alpha beta"), _doc("d2", "beta")])
+    assert index.postings("absent") is None
+    assert index.term_count() == 2
+    assert type(index._term_ids) is dict
+    assert list(index._term_ids) == ["alpha", "beta"]
+
+
 def test_index_invariants_on_random_corpus():
     rng = random.Random(3)
     for _ in range(10):

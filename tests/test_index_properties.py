@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import naive_search, naive_unpack_strings
+from oracle import naive_search, naive_tokenize, naive_unpack_strings
 from lotkarank.corpus import DocumentRecord, tokenize
 from lotkarank.index import InvertedIndex, _pack_strings, _unpack_strings, build_index, search
 
@@ -60,6 +60,40 @@ def test_postings_equal_per_document_counts(case):
         docs, tfs = index.postings(term)
         got = [(index._doc_ids[pos], tf) for pos, tf in zip(docs.tolist(), tfs.tolist())]
         assert got == sorted((doc_id, c[term]) for doc_id, c in counts.items() if c[term])
+
+
+# any text, with the characters str.lower and the token pattern treat specially drawn
+# often: Greek capital sigma (lowercased to final ς or σ by what is around it), cased
+# letters, case-ignorable marks (combining acute, ypogegrammeni, soft hyphen, apostrophe),
+# "İ" (two characters in lowercase), astral characters and lone surrogates
+_SPECIAL = "Σσςa1_ \n\u0301\u0345\u00ad'.İ\U0001d400\U0001d7ce\U00010400\ud800\udfff"
+_ANY_TEXT = st.text(st.characters(exclude_categories=()) | st.sampled_from(_SPECIAL), max_size=12)
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(_ANY_TEXT, _ANY_TEXT)
+def test_tokenize_of_lines_is_tokenize_of_each(a, b):
+    # build_index tokenizes title and body as one text joined by "\n"
+    assert tokenize(f"{a}\n{b}") == tokenize(a) + tokenize(b)
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(_ANY_TEXT)
+def test_tokenize_matches_naive_oracle(text):
+    assert tokenize(text) == naive_tokenize(text)
+
+
+@settings(derandomize=True, deadline=None)
+@given(corpus_and_query())
+def test_rows_follow_first_appearance_in_doc_id_order(case):
+    records, _ = case
+    index = build_index(records)
+    first = {}
+    for rec in sorted(records, key=lambda rec: rec.doc_id):
+        for term in tokenize(rec.title) + tokenize(rec.body):
+            first.setdefault(term, len(first))
+    assert list(index._term_ids) == list(first)
+    assert index._term_ids == first
 
 
 @settings(derandomize=True, deadline=None)

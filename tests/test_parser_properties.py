@@ -6,11 +6,13 @@ parse_corpus returns can be written back out as UTF-8 and parses to
 the same records.
 """
 import json
+import re
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lotkarank.corpus import OPTIONAL_KEYS, REQUIRED_KEYS, parse_corpus, serialize_corpus
+from lotkarank.corpus import (OPTIONAL_KEYS, REQUIRED_KEYS, CorpusError, DocumentRecord, parse_corpus,
+                              serialize_corpus)
 from lotkarank.evaluation import parse_qrels, parse_topics
 
 # any character, lone surrogates (what a JSON \ud800 escape decodes to) included
@@ -65,3 +67,21 @@ def test_parse_qrels_returns_or_raises_value_error(lines):
         parse_qrels(lines)
     except ValueError:
         pass
+
+
+# whitespace of several kinds (ASCII, C1, Unicode separators), and two characters that
+# are not whitespace (zero-width space, byte order mark)
+_SPACES = st.sampled_from(" \t\n\r\x0b\x0c\x1c\x1f\x85\xa0\u1680\u2000\u2028\u2029\u202f\u3000\u200b\ufeff")
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.lists(st.text(st.characters() | _SPACES, max_size=10), max_size=3))
+def test_author_names_are_stripped_and_collapsed_on_regex_whitespace(authors):
+    # trim, then replace each run of \s by one space
+    expected = [re.sub(r"\s+", " ", name.strip()) for name in authors]
+    try:
+        record = DocumentRecord(doc_id="d1", title="", authors=authors)
+    except CorpusError:
+        assert "" in expected or len(set(expected)) < len(expected)
+        return
+    assert record.authors == expected

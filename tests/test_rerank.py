@@ -199,23 +199,35 @@ def test_rerank_monotone_in_ef_for_positive_k():
 
 def test_combined_score_names_k_when_out_of_float_range():
     # (1/2) ** -1100 is past float range; (1/2) ** -1023.5 is not, but 4 times it is
-    with pytest.raises(ValueError, match=r"^k=-1100\.0 "):
+    with pytest.raises(ValueError, match=r"^k=-1100\.0 makes a combined score overflow; "):
         combined_score(1.0, 1, 2, -1100.0)
     assert combined_score(1.0, 1, 2, -1023.5) == 0.5 ** -1023.5
     with pytest.raises(ValueError, match=r"^k=-1023\.5 "):
         combined_score(4.0, 1, 2, -1023.5)
+    # (1/2) ** 1100 rounds to 0; (1/2) ** 1074 is the smallest float, but a quarter of it rounds to 0
+    with pytest.raises(ValueError, match=r"^k=1100\.0 makes a combined score underflow to 0; "
+                                         r"use a k of smaller magnitude$"):
+        combined_score(1.0, 1, 2, 1100.0)
+    assert combined_score(1.0, 1, 2, 1074.0) == 0.5 ** 1074 > 0.0
+    with pytest.raises(ValueError, match=r"^k=1074\.0 "):
+        combined_score(0.25, 1, 2, 1074.0)
 
 
-@pytest.mark.parametrize("k", [-700.0, -645.0])  # the factor overflows; the factor times tf-idf does
+# the factor overflows; the factor times tf-idf does; the factor underflows; the factor
+# times tf-idf does
+@pytest.mark.parametrize("k", [-700.0, -645.0, 700.0, 678.0])
 @pytest.mark.parametrize("policy", list(MissingPolicy))
 def test_rerank_combined_overflow_names_k(k, policy):
-    # three retrieved docs, two with one author each: ef 1 of N 3, a factor of 3 ** -k
+    # three retrieved docs, two with one author each: ef 1 of N 3, a factor of 3 ** -k;
+    # d1's tf-idf is 21 ln(4/3) and d2's ln(4/3)
     index, rs = _indexed([("d1", 20, ["A"], None), ("d2", 0, ["B"], None), ("d3", 0, [], None)])
     assert math.isfinite(3.0 ** 645) and math.isinf(float(rs.scores[0]) * 3.0 ** 645)
+    assert 3.0 ** -678 > 0.0 and float(rs.scores[1]) * 3.0 ** -678 == 0.0
     config = RankingConfig(mode=Mode.COMBINED, field=EntityField.AUTHOR, k=k, missing_policy=policy)
+    what = "overflow" if k < 0 else "underflow to 0"
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy overflow warning on the way
-        with pytest.raises(ValueError, match=f"^k={k} makes a combined score overflow"):
+        with pytest.raises(ValueError, match=f"^k={k} makes a combined score {what};"):
             rerank(rs, config, index)
 
 
