@@ -1,16 +1,14 @@
 """tf-idf retrieval with informetric (power-law entity-frequency) re-ranking."""
 
-from .corpus import CorpusError, DocumentRecord, load_corpus, parse_corpus, save_corpus, serialize_corpus, tokenize
+from .corpus import CorpusError, DocumentRecord, load_corpus, parse_corpus, tokenize
 from .evaluation import (
     EvalReport,
     QrelSet,
     Topic,
     load_qrels,
     load_topics,
-    overlap_at_k,
     parse_qrels,
     parse_topics,
-    precision_at_k,
     run_evaluation,
 )
 from .index import InvertedIndex, ResultSet, build_index, search

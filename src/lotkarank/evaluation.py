@@ -35,9 +35,6 @@ class QrelSet:
             if grade < 0:
                 raise ValueError(f"negative grade for ({topic_id}, {doc_id})")
 
-    def is_relevant(self, topic_id: str, doc_id: str) -> bool:
-        return self.judgments.get((topic_id, doc_id), 0) > 0
-
     def topic_ids(self) -> set[str]:
         return {topic_id for topic_id, _ in self.judgments}
 
@@ -95,21 +92,6 @@ def parse_qrels(lines) -> QrelSet:
 def load_qrels(path) -> QrelSet:
     with open_text(path) as fin:
         return parse_qrels(fin)
-
-
-def precision_at_k(ranked: ResultSet, qrels: QrelSet, k: int) -> float:
-    """Relevant documents among the top min(k, len) entries, divided by k."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    relevant = sum(1 for doc_id in ranked.doc_ids(k) if qrels.is_relevant(ranked.query_id, doc_id))
-    return relevant / k
-
-
-def overlap_at_k(a: ResultSet, b: ResultSet, k: int) -> int:
-    """Size of the intersection of the two top-k doc_id sets."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return len(set(a.doc_ids(k)).intersection(b.doc_ids(k)))
 
 
 @dataclass

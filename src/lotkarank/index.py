@@ -33,8 +33,9 @@ writes, but with a fixed timestamp so that equal indexes give equal bytes.
 It holds arrays only: the layout tag (``format``, UTF-8 bytes), each
 string list (terms in row order, doc ids, journal names, author names) as
 one UTF-8 blob plus the offset of each string in it, and the integer
-arrays. ``InvertedIndex.load`` reads it with ``allow_pickle=False`` and
-checks every member before use.
+arrays. ``InvertedIndex.load`` reads only 1-d integer ``.npy`` members,
+each once its header's size fits in the member's bytes, and checks every
+member before use.
 """
 import math
 import zipfile
@@ -151,6 +152,31 @@ def _require(ok, what):
         raise _Invalid(what)
 
 
+_NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0, (2, 0): np.lib.format.read_array_header_2_0}
+
+
+def _read_member(archive, info, file_size):
+    """The member's name and 1-d integer array, read once its .npy header fits in its bytes.
+
+    numpy would allocate an array of whatever size a header claims before
+    reading any data; here the claim must fit in the member's bytes and the
+    member in the file before anything is allocated, and only integer
+    arrays are read, so nothing is unpickled.
+    """
+    name = info.filename.removesuffix(".npy")
+    # a stored member's bytes lie in the file; a compressed one could claim any size
+    _require(info.compress_type == zipfile.ZIP_STORED and info.compress_size == info.file_size
+             and info.header_offset + info.file_size <= file_size, f"{name} is not stored whole in the file")
+    with archive.open(info) as member:
+        read_header = _NPY_HEADERS.get(np.lib.format.read_magic(member))  # ValueError unless .npy
+        _require(read_header is not None, f"{name} is not in .npy version 1.0 or 2.0")
+        shape, _, dtype = read_header(member)
+        _require(len(shape) == 1 and dtype.kind in "iu", f"{name} is not a 1-d integer array")
+        claimed, holds = shape[0] * dtype.itemsize, info.file_size - member.tell()
+        _require(claimed <= holds, f"{name} claims {claimed} bytes of data but holds {holds}")
+        return name, np.frombuffer(member.read(claimed), dtype=dtype, count=shape[0])
+
+
 def _entity_codes(values):
     """The distinct values in name order, and each value's int32 code (-1 for None)."""
     names = sorted(set(values) - {None})
@@ -249,21 +275,25 @@ class InvertedIndex:
     def load(cls, path) -> "InvertedIndex":
         """Read an index saved by save; ValueError naming path if it is not one.
 
-        Nothing in the file is unpickled, and every member is checked before use.
+        Nothing in the file is unpickled, no member's array is allocated
+        beyond what the file holds, and every member is checked before use.
         """
-        with open(path, "rb") as fin:
-            magic = fin.read(4)
-            if magic[:1] == b"\x80":  # a pickle: the layout before the arrays-only file
-                raise ValueError(f"{path} holds an index in an older layout; {_REBUILD}")
-            if magic != b"PK\x03\x04":
-                raise ValueError(f"{path} is not an index file (no zip header); {_REBUILD}")
-            fin.seek(0)
-            try:
-                with np.load(fin, allow_pickle=False) as archive:
-                    members = {name: archive[name] for name in archive.files}
-            except Exception as exc:  # corrupt zip or npy bytes can raise many exception types
-                raise ValueError(f"{path} is not a readable index ({exc}); {_REBUILD}") from exc
         try:
+            with open(path, "rb") as fin:
+                magic = fin.read(4)
+                if magic[:1] == b"\x80":  # a pickle: the layout before the arrays-only file
+                    raise ValueError(f"{path} holds an index in an older layout; {_REBUILD}")
+                if magic != b"PK\x03\x04":
+                    raise ValueError(f"{path} is not an index file (no zip header); {_REBUILD}")
+                file_size = fin.seek(0, 2)
+                fin.seek(0)
+                try:
+                    with zipfile.ZipFile(fin) as archive:
+                        members = dict(_read_member(archive, info, file_size) for info in archive.infolist())
+                except _Invalid:
+                    raise
+                except Exception as exc:  # corrupt zip or npy bytes can raise many exception types
+                    raise ValueError(f"{path} is not a readable index ({exc}); {_REBUILD}") from exc
             return cls._from_members(members)
         except _Invalid as exc:
             raise ValueError(f"{path} is not a valid index: {exc}; {_REBUILD}") from None
@@ -280,9 +310,6 @@ class InvertedIndex:
         _require(not missing, f"missing member {', '.join(missing)}")
         extra = sorted(set(members) - set(_MEMBERS))
         _require(not extra, f"unexpected member {', '.join(extra)}")
-        for name, array in members.items():
-            _require(isinstance(array, np.ndarray) and array.ndim == 1 and array.dtype.kind in "iu",
-                     f"{name} is not a 1-d integer array")
 
         strings = {}
         for name in _STRING_LISTS:

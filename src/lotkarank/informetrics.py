@@ -45,19 +45,24 @@ def entity_frequencies(rs: ResultSet, field: EntityField, index: InvertedIndex) 
     its journal, one per author); documents without the field contribute
     nothing. The table's doc_ef holds each entry's entity frequency: the
     largest count among its values, so a document counts as strongly as its
-    most frequent entity, and 0 when it lacks the field.
+    most frequent entity, and 0 when it lacks the field. When every covered
+    document has exactly one value (a journal always does), its ef is that
+    value's count and no per-document maximum is taken.
     """
     codes, sizes, names = index.entity_codes(field, rs.positions)
     counts = np.bincount(codes, minlength=len(names))
     seen = np.flatnonzero(counts)
     has = sizes > 0
-    # each covered document's codes are one segment; its ef is the segment's largest count
+    covered = int(np.count_nonzero(has))
     doc_ef = np.zeros(rs.set_size, dtype=np.int64)
-    doc_ef[has] = np.maximum.reduceat(counts[codes], (np.cumsum(sizes) - sizes)[has])
+    if len(codes) == covered:  # one code per covered document
+        doc_ef[has] = counts[codes]
+    else:  # each covered document's codes are one segment; its ef is the segment's largest count
+        doc_ef[has] = np.maximum.reduceat(counts[codes], (np.cumsum(sizes) - sizes)[has])
     return EntityFrequencyTable(
         field=field,
         counts=dict(zip(map(names.__getitem__, seen.tolist()), counts[seen].tolist())),
-        covered_docs=int(np.count_nonzero(has)),
+        covered_docs=covered,
         result_size=rs.set_size,
         doc_ef=doc_ef,
     )

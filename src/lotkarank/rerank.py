@@ -4,10 +4,12 @@ Three strategies: pure frequency ordering by journal (brad) or author
 (lotka), and the combined score tfidf * (ef / N)**k. Positive k favors
 mainstream entities, negative k the long tail; k = 0 collapses to the
 tf-idf order. ``rerank`` is the one path for all of them: it reads each
-document's entity frequency from ``entity_frequencies(...).doc_ef``,
-keeps the documents the mode keeps and sorts them with one ``np.lexsort``.
-Every strategy returns a ResultSet over the same index, so a re-ranked
-list is the same type as the tf-idf set it came from.
+document's entity frequency from ``entity_frequencies(...).doc_ef`` and
+keeps the documents the mode keeps. It takes a result set in search
+order (score desc, doc_id asc), so brad/lotka need only one stable sort
+on the frequency; combined sorts on (score desc, doc_id asc). Every
+strategy returns a ResultSet over the same index, so a re-ranked list is
+the same type as the tf-idf set it came from.
 """
 import math
 from dataclasses import dataclass, replace
@@ -90,22 +92,33 @@ def combined_score(tfidf: float, ef: int, n: int, k: float) -> float:
     return score
 
 
-def rerank(rs: ResultSet, config: RankingConfig, index: InvertedIndex) -> ResultSet:
-    """Apply one ranking strategy to a tf-idf result set.
+def _check_search_order(rs: ResultSet):
+    """ValueError unless rs is in search order: scores non-increasing, positions ascending on ties."""
+    scores, positions = rs.scores, rs.positions
+    later, earlier = scores[1:], scores[:-1]
+    if not ((later < earlier) | ((later == earlier) & (positions[1:] > positions[:-1]))).all():
+        raise ValueError("rerank needs a result set in search order "
+                         "(score descending, then doc_id ascending), as search returns it")
 
-    The result is a copy of ``rs`` with the new order and scores, the
-    config's run tag and the count of the documents it dropped; ``rs``
-    itself is left unchanged. TFIDF passes the set through unchanged.
-    BRADFORD/LOTKA order by entity frequency alone, with tf-idf as the
-    inner ranking, score each document with its frequency and always drop
-    field-missing documents. COMBINED scores retained documents with
-    tfidf * (ef / N)**k where N is the full result-set size; the missing
-    policy decides whether field-missing documents are dropped or kept at
-    their tf-idf score. ValueError naming k if a combined score overflows
-    or underflows to 0.
+
+def rerank(rs: ResultSet, config: RankingConfig, index: InvertedIndex) -> ResultSet:
+    """Apply one ranking strategy to a tf-idf result set in search order.
+
+    ``rs`` must be in the order ``search`` returns it (score desc, doc_id
+    asc); ValueError otherwise. The result is a copy of ``rs`` with the new
+    order and scores, the config's run tag and the count of the documents
+    it dropped; ``rs`` itself is left unchanged. TFIDF passes any set
+    through unchanged. BRADFORD/LOTKA order by entity frequency alone,
+    ties keeping their tf-idf order, score each document with its
+    frequency and always drop field-missing documents. COMBINED scores
+    retained documents with tfidf * (ef / N)**k where N is the full
+    result-set size; the missing policy decides whether field-missing
+    documents are dropped or kept at their tf-idf score. ValueError naming
+    k if a combined score overflows or underflows to 0.
     """
     if config.mode is Mode.TFIDF:
         return replace(rs, tag=config.run_tag, dropped=0)
+    _check_search_order(rs)
     ef = entity_frequencies(rs, config.field, index).doc_ef
     n = rs.set_size
     combined = config.mode is Mode.COMBINED
@@ -113,23 +126,25 @@ def rerank(rs: ResultSet, config: RankingConfig, index: InvertedIndex) -> Result
     positions, tfidf, ef = rs.positions[keep], rs.scores[keep], ef[keep]
     if combined:
         # the factor (ef / n) ** k with Python's pow, once per distinct ef (np.power can
-        # differ in the last bit); field-missing documents keep 1.0, their tf-idf score
-        has = ef > 0
-        distinct, which = np.unique(ef[has], return_inverse=True)
-        factor = np.ones(len(ef), dtype=np.float64)
-        factor[has] = np.array([combined_score(1.0, e, n, config.k) for e in distinct.tolist()])[which]
+        # differ in the last bit), looked up by ef; field-missing documents (ef 0) keep
+        # 1.0, their tf-idf score
+        table = np.ones(n + 1, dtype=np.float64)
+        distinct = np.flatnonzero(np.bincount(ef)[1:]) + 1
+        table[distinct] = [combined_score(1.0, e, n, config.k) for e in distinct.tolist()]
         with np.errstate(over="ignore"):
-            scores = tfidf * factor
+            scores = tfidf * table[ef]
         if np.isinf(scores).any():
             raise _out_of_range(config.k, "overflow")
         if not scores.all():  # a tf-idf score is > 0, so a 0.0 is an underflow
             raise _out_of_range(config.k, "underflow to 0")
-        keys = (positions, -scores)  # (score desc, doc_id asc)
+        # (score desc, doc_id asc): equal scores can come from different tf-idf scores,
+        # so the positions (doc_id order) break ties; the narrowest type sorts fastest
+        order = np.lexsort((positions.astype(np.min_scalar_type(index.corpus_size - 1)), -scores))
     else:
+        # (ef desc, tfidf desc, doc_id asc): the kept documents are still in search order,
+        # so one stable sort on ef desc gives it; at 16 bits or fewer numpy sorts by radix
+        order = np.argsort((n - ef).astype(np.min_scalar_type(n)), kind="stable")
         scores = ef.astype(np.float64)
-        keys = (positions, -tfidf, -ef)  # (ef desc, tfidf desc, doc_id asc)
-    # positions follow doc_id order
-    order = np.lexsort(keys)
     return replace(rs, positions=positions[order], scores=scores[order], tag=config.run_tag,
                    dropped=n - len(order))
 

@@ -1,4 +1,5 @@
 """Synthetic corpus generators and other fixtures shared by the unit and acceptance tests."""
+import json
 import random
 from dataclasses import dataclass
 
@@ -187,3 +188,25 @@ class CreatesFileOnUnpickle:
 
     def __reduce__(self):
         return (open, (self.path, "w"))
+
+
+def serialize_corpus(records) -> str:
+    """Render records back to the corpus line format (round-trips with parse_corpus)."""
+    lines = []
+    for rec in records:
+        obj = {"id": rec.doc_id, "title": rec.title, "body": rec.body, "authors": rec.authors}
+        if rec.journal_issn is not None:
+            obj["issn"] = rec.journal_issn
+        if rec.journal_title is not None:
+            obj["journal"] = rec.journal_title
+        if rec.publisher is not None:
+            obj["publisher"] = rec.publisher
+        if rec.year is not None:
+            obj["year"] = rec.year
+        lines.append(json.dumps(obj, ensure_ascii=False))
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def save_corpus(records, path):
+    with open(path, "w", encoding="utf-8") as fout:
+        fout.write(serialize_corpus(records))

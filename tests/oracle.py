@@ -105,6 +105,26 @@ def naive_overlap(entries_a, entries_b, k):
     return len(ids_a & ids_b)
 
 
+def is_relevant(qrels, topic_id, doc_id):
+    """Whether the qrels judge the document relevant to the topic (grade > 0)."""
+    return qrels.judgments.get((topic_id, doc_id), 0) > 0
+
+
+def precision_at_k(ranked, qrels, k):
+    """Relevant documents among a ResultSet's top min(k, len) entries, divided by k."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    relevant = sum(1 for doc_id in ranked.doc_ids(k) if is_relevant(qrels, ranked.query_id, doc_id))
+    return relevant / k
+
+
+def overlap_at_k(a, b, k):
+    """Size of the intersection of two ResultSets' top-k doc_id sets."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return len(set(a.doc_ids(k)).intersection(b.doc_ids(k)))
+
+
 def naive_run_lines(query_id, doc_ids, scores, tag):
     """One run line per entry: the score as the list's own Python number, formatted alone."""
     return "".join(f"{query_id} Q0 {d} {r} {s:.6f} {tag}\n" for r, (d, s) in enumerate(zip(doc_ids, scores), 1))

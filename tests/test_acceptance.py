@@ -8,11 +8,9 @@ import random
 import time
 
 from helpers import make_power_law_corpus, make_topic_suite, random_small_corpus, ranked_list
-from oracle import naive_rerank, naive_search
+from oracle import naive_rerank, naive_search, overlap_at_k, precision_at_k
 from lotkarank.evaluation import (
     QrelSet,
-    overlap_at_k,
-    precision_at_k,
     report_csv,
     run_evaluation,
 )

@@ -8,10 +8,10 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import CreatesFileOnUnpickle, make_topic_suite, qrels_lines, topics_lines
+from helpers import CreatesFileOnUnpickle, make_topic_suite, qrels_lines, save_corpus, topics_lines
 from lotkarank import output
 from lotkarank.cli import main
-from lotkarank.corpus import DocumentRecord, save_corpus
+from lotkarank.corpus import DocumentRecord
 
 
 def _write(path, lines):

@@ -2,11 +2,11 @@ import random
 
 import pytest
 
+from helpers import serialize_corpus
 from lotkarank.corpus import (
     CorpusError,
     DocumentRecord,
     parse_corpus,
-    serialize_corpus,
     tokenize,
 )
 

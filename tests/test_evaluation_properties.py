@@ -2,8 +2,9 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import is_relevant, overlap_at_k, precision_at_k
 from lotkarank.corpus import DocumentRecord
-from lotkarank.evaluation import OVERLAP_K, PRECISION_CUTOFFS, QrelSet, Topic, overlap_at_k, precision_at_k, run_evaluation
+from lotkarank.evaluation import OVERLAP_K, PRECISION_CUTOFFS, QrelSet, Topic, run_evaluation
 from lotkarank.index import build_index
 from lotkarank.informetrics import EntityField
 from lotkarank.rerank import MissingPolicy, Mode, RankingConfig
@@ -57,7 +58,7 @@ def test_run_evaluation_matches_per_document_metrics(case):
         for ranked in run.ranked:
             metrics = run.per_topic[ranked.query_id]
             assert metrics.retrieved == len(ranked.doc_ids())
-            assert metrics.relevant_retrieved == sum(qrels.is_relevant(ranked.query_id, d) for d in ranked.doc_ids())
+            assert metrics.relevant_retrieved == sum(is_relevant(qrels, ranked.query_id, d) for d in ranked.doc_ids())
             assert metrics.dropped == ranked.dropped
             assert metrics.precision == {k: precision_at_k(ranked, qrels, k) for k in PRECISION_CUTOFFS}
     by_tag = {run.tag: run.ranked for run in report.runs}

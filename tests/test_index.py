@@ -1,12 +1,16 @@
 import dataclasses
 import math
+import os
 import pickle
 import random
+import subprocess
+import sys
 import zipfile
 
 import numpy as np
 import pytest
 
+import lotkarank
 from helpers import CreatesFileOnUnpickle, random_small_corpus
 from oracle import naive_search, naive_tokenize
 from lotkarank.corpus import DocumentRecord, EntityField
@@ -424,6 +428,61 @@ def test_load_rejects_inconsistent_member(tmp_path, case):
     assert message.startswith(f"{path} is not a valid index: {reason}")
     assert message.endswith("; rebuild it with `lotkarank index`")
     assert "\n" not in message
+
+
+# loads an index under a 2 GiB address-space cap, so an allocation of what a
+# header claims fails at once instead of depending on the host's overcommit
+_CAPPED_LOAD = """
+import resource, sys
+from lotkarank.index import InvertedIndex
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+try:
+    InvertedIndex.load(sys.argv[1])
+except ValueError as exc:
+    print(exc)
+"""
+
+
+def _load_capped(path):
+    src = os.path.dirname(os.path.dirname(lotkarank.__file__))
+    paths = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", _CAPPED_LOAD, str(path)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+@pytest.mark.parametrize("shape, reason", [
+    ((2**31,), f"ptr claims {2**34} bytes of data but holds 0"),
+    ((2**16, 2**15), "ptr is not a 1-d integer array"),
+])
+def test_load_checks_npy_header_before_allocating(tmp_path, shape, reason):
+    # ptr's header claims 2**31 int64 values (16 GiB), but the member holds only the header
+    path = tmp_path / "hostile.idx"
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as archive:
+        for name, array in _layout_index()._members().items():
+            with archive.open(f"{name}.npy", "w") as member:
+                if name == "ptr":
+                    header = {"descr": "<i8", "fortran_order": False, "shape": shape}
+                    np.lib.format.write_array_header_1_0(member, header)
+                else:
+                    np.lib.format.write_array(member, array, allow_pickle=False)
+    assert path.stat().st_size < 4096
+    message = _load_capped(path)
+    assert message == f"{path} is not a valid index: {reason}; rebuild it with `lotkarank index`"
+    assert "Unable to allocate" not in message
+
+
+def test_load_rejects_compressed_member(tmp_path):
+    # a deflated member may claim any uncompressed size, so the layout is stored only
+    path = tmp_path / "compressed.idx"
+    with open(path, "wb") as fout:
+        np.savez_compressed(fout, **_layout_index()._members())
+    with pytest.raises(ValueError) as info:
+        InvertedIndex.load(path)
+    assert str(info.value) == (f"{path} is not a valid index: format is not stored whole in the file; "
+                               "rebuild it with `lotkarank index`")
 
 
 def test_load_accepts_members_in_wider_integer_types(tmp_path):

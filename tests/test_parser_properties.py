@@ -11,8 +11,8 @@ import re
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lotkarank.corpus import (OPTIONAL_KEYS, REQUIRED_KEYS, CorpusError, DocumentRecord, parse_corpus,
-                              serialize_corpus)
+from helpers import serialize_corpus
+from lotkarank.corpus import OPTIONAL_KEYS, REQUIRED_KEYS, CorpusError, DocumentRecord, parse_corpus
 from lotkarank.evaluation import parse_qrels, parse_topics
 
 # any character, lone surrogates (what a JSON \ud800 escape decodes to) included

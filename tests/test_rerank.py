@@ -231,6 +231,36 @@ def test_rerank_combined_overflow_names_k(k, policy):
             rerank(rs, config, index)
 
 
+_ORDER_DEPENDENT = [
+    RankingConfig(mode=Mode.BRADFORD),
+    RankingConfig(mode=Mode.LOTKA),
+    RankingConfig(mode=Mode.COMBINED, field=EntityField.AUTHOR, k=1.0),
+    RankingConfig(mode=Mode.COMBINED, field=EntityField.JOURNAL, k=-0.5,
+                  missing_policy=MissingPolicy.PASSTHROUGH),
+]
+
+
+def _reordered(rs, order):
+    return dataclasses.replace(rs, positions=rs.positions[order], scores=rs.scores[order])
+
+
+@pytest.mark.parametrize("config", _ORDER_DEPENDENT, ids=lambda config: config.run_tag)
+def test_rerank_rejects_a_result_set_out_of_search_order(config):
+    # d3 has the top tf-idf; d1 and d2 tie below it
+    index, rs = _indexed([("d1", 0, ["A"], "1111-1111"), ("d2", 0, ["B"], "1111-1111"),
+                          ("d3", 2, ["A"], "2222-2222")])
+    assert rs.doc_ids() == ["d3", "d1", "d2"] and rs.scores[1] == rs.scores[2]
+    for order in ([1, 0, 2], [2, 1, 0], [0, 2, 1]):  # shuffled, ascending, a tie in descending doc_id
+        with pytest.raises(ValueError, match=r"^rerank needs a result set in search order "):
+            rerank(_reordered(rs, order), config, index)
+    # what search returns, and the tf-idf pass-through of it, are in search order
+    passed = rerank(rs, RankingConfig(mode=Mode.TFIDF), index)
+    assert rerank(passed, config, index) == rerank(rs, config, index)
+    # the pass-through itself takes any order
+    backwards = rerank(_reordered(rs, [2, 1, 0]), RankingConfig(mode=Mode.TFIDF), index)
+    assert backwards.doc_ids() == ["d2", "d1", "d3"]
+
+
 def test_rerank_ordering_invariant_under_tfidf_scaling():
     rng = random.Random(77)
     for _ in range(10):

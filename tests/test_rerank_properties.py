@@ -67,6 +67,82 @@ def test_rerank_matches_naive_oracle(case):
             assert ranked.doc_ids(top) == ranked.doc_ids()[:top]
 
 
+# (entity frequency as a multiple of e, tf): tf 2 at ef e and tf 1 at ef 2e give equal
+# combined scores at k = 1 from different tf-idf scores, 2 idf (e/N) = idf (2e/N)
+_GROUPS = st.lists(st.sampled_from([(1, 2), (2, 1), (1, 1), (2, 2)]), min_size=1, max_size=5)
+
+
+@st.composite
+def tied_corpus(draw):
+    """Documents matching the query "q" in groups that share one journal and one author.
+
+    A group's documents tie on entity frequency and tf-idf; groups of sizes
+    e and 2e tie on combined score. Documents with neither field pass
+    through; some carry a second author of their own, whose count is 1.
+    """
+    e = draw(st.integers(min_value=1, max_value=3))
+    groups = draw(_GROUPS)
+    specs = []  # (group or None, tf)
+    for g, (multiple, tf) in enumerate(groups):
+        specs += [(g, tf)] * (multiple * e)
+    specs += [(None, tf) for tf in draw(st.lists(st.sampled_from([1, 2]), max_size=4))]
+    # doc_id order is not group order, so ties have to be broken by doc_id
+    order = draw(st.permutations(range(len(specs))))
+    records = [DocumentRecord(doc_id="zfill", title="padding")]  # so that q's idf is > 0
+    for i, (g, tf) in zip(order, specs):
+        authors = [] if g is None else [f"A{g}"] + ([f"solo{i}"] if draw(st.booleans()) else [])
+        records.append(DocumentRecord(doc_id=f"d{i:02d}", title=" ".join(["q"] * tf), authors=authors,
+                                      journal_issn=None if g is None else f"J{g}"))
+    k = draw(st.sampled_from([1.0, 1.0, -1.0, 0.5, 0.0]))
+    return records, k
+
+
+def _configs(k):
+    yield RankingConfig(mode=Mode.BRADFORD), ("brad", None, k, "drop")
+    yield RankingConfig(mode=Mode.LOTKA), ("lotka", None, k, "drop")
+    for field in EntityField:
+        for policy in MissingPolicy:
+            config = RankingConfig(mode=Mode.COMBINED, field=field, k=k, missing_policy=policy)
+            yield config, ("combined", field.value, k, policy.value)
+
+
+@settings(derandomize=True, deadline=None)
+@given(tied_corpus())
+def test_rerank_matches_naive_oracle_on_ties(case):
+    records, k = case
+    index = build_index(records)
+    rs = search("q", index)
+    entries = naive_search(records, "q")
+    for config, naive_args in _configs(k):
+        ranked = rerank(rs, config, index)
+        expected, expected_dropped = naive_rerank(records, entries, *naive_args)
+        assert ranked.entries == expected
+        assert ranked.dropped == expected_dropped
+
+
+def test_rerank_matches_naive_oracle_past_16_bit_keys():
+    # more than 65535 documents in the result set and in the index, so neither the
+    # entity-frequency key N - ef nor the position key fits in 16 bits; one large
+    # journal and one prolific author put N - ef on both sides of 65536
+    n = 70_000
+    records = [DocumentRecord(doc_id="zfill", title="padding")]
+    for i in range(n):
+        group = (i * 7919) % 301  # about 230 documents per group, in no doc_id order
+        author = "A-big" if i % 3 == 0 else f"A{group % 97}"
+        records.append(DocumentRecord(
+            doc_id=f"d{i:05d}", title="q q" if i % 7 else "q",
+            authors=[] if i % 11 == 0 else [author] + ([f"B{i % 5}"] if i % 4 == 0 else []),
+            journal_issn=None if i % 13 == 0 else ("J-big" if i % 2 == 0 else f"J{group}")))
+    index = build_index(records)
+    rs = search("q", index)
+    assert rs.set_size == n
+    for config, naive_args in _configs(1.0):
+        ranked = rerank(rs, config, index)
+        expected, expected_dropped = naive_rerank(records, rs.entries, *naive_args)
+        assert ranked.entries == expected
+        assert ranked.dropped == expected_dropped
+
+
 @settings(derandomize=True, deadline=None)
 @given(ranked_corpus())
 def test_entity_frequencies_match_naive_counts(case):
