@@ -24,7 +24,6 @@ from .rerank import (
     MissingPolicy,
     Mode,
     RankingConfig,
-    combined_score,
     rerank,
 )
 

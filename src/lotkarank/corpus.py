@@ -61,6 +61,10 @@ class DocumentRecord:
     year: int | None = None
 
     def __post_init__(self):
+        if not isinstance(self.title, str) or not isinstance(self.body, str):
+            raise CorpusError("title and body must be strings")
+        if not isinstance(self.authors, list):
+            raise CorpusError("authors must be a list of strings")
         if not isinstance(self.doc_id, str) or not self.doc_id:
             raise CorpusError("doc_id must be a non-empty string")
         if self.doc_id.split() != [self.doc_id]:  # run files split their columns on whitespace
@@ -108,10 +112,6 @@ def _record_from_obj(obj: dict) -> DocumentRecord:
     missing = [k for k in REQUIRED_KEYS if k not in obj]
     if missing:
         raise CorpusError(f"missing keys: {', '.join(missing)}")
-    if not isinstance(obj["title"], str) or not isinstance(obj["body"], str):
-        raise CorpusError("title and body must be strings")
-    if not isinstance(obj["authors"], list):
-        raise CorpusError("authors must be a list of strings")
     return DocumentRecord(
         doc_id=obj["id"],
         title=obj["title"],

@@ -152,9 +152,6 @@ def _require(ok, what):
         raise _Invalid(what)
 
 
-_NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0, (2, 0): np.lib.format.read_array_header_2_0}
-
-
 def _read_member(archive, info, file_size):
     """The member's name and 1-d integer array, read once its .npy header fits in its bytes.
 
@@ -168,9 +165,10 @@ def _read_member(archive, info, file_size):
     _require(info.compress_type == zipfile.ZIP_STORED and info.compress_size == info.file_size
              and info.header_offset + info.file_size <= file_size, f"{name} is not stored whole in the file")
     with archive.open(info) as member:
-        read_header = _NPY_HEADERS.get(np.lib.format.read_magic(member))  # ValueError unless .npy
-        _require(read_header is not None, f"{name} is not in .npy version 1.0 or 2.0")
-        shape, _, dtype = read_header(member)
+        # save writes version 1.0 (numpy needs 2.0 only for a header over 64 KiB)
+        version = np.lib.format.read_magic(member)  # ValueError unless .npy
+        _require(version == (1, 0), f"{name} is not in .npy version 1.0")
+        shape, _, dtype = np.lib.format.read_array_header_1_0(member)
         _require(len(shape) == 1 and dtype.kind in "iu", f"{name} is not a 1-d integer array")
         claimed, holds = shape[0] * dtype.itemsize, info.file_size - member.tell()
         _require(claimed <= holds, f"{name} claims {claimed} bytes of data but holds {holds}")

@@ -70,28 +70,6 @@ def _out_of_range(k: float, what: str) -> ValueError:
     return ValueError(f"k={k} makes a combined score {what}; use a k of smaller magnitude")
 
 
-def combined_score(tfidf: float, ef: int, n: int, k: float) -> float:
-    """tfidf * (ef / n)**k for a document with entity frequency ef in a result set of n.
-
-    ValueError naming k if the factor or the score is beyond float range, or if a
-    nonzero tfidf gives a score of 0.0 (the factor underflows).
-    """
-    if n < 1:
-        raise ValueError("result set size must be >= 1")
-    if ef < 1 or ef > n:
-        raise ValueError(f"entity frequency must be in 1..{n}, got {ef} "
-                         "(apply the missing policy before scoring)")
-    try:
-        score = tfidf * (ef / n) ** k
-    except OverflowError:
-        raise _out_of_range(k, "overflow") from None
-    if math.isinf(score):
-        raise _out_of_range(k, "overflow")
-    if score == 0.0 and tfidf != 0.0:
-        raise _out_of_range(k, "underflow to 0")
-    return score
-
-
 def _check_search_order(rs: ResultSet):
     """ValueError unless rs is in search order: scores non-increasing, positions ascending on ties."""
     scores, positions = rs.scores, rs.positions
@@ -130,7 +108,10 @@ def rerank(rs: ResultSet, config: RankingConfig, index: InvertedIndex) -> Result
         # 1.0, their tf-idf score
         table = np.ones(n + 1, dtype=np.float64)
         distinct = np.flatnonzero(np.bincount(ef)[1:]) + 1
-        table[distinct] = [combined_score(1.0, e, n, config.k) for e in distinct.tolist()]
+        try:
+            table[distinct] = [(e / n) ** config.k for e in distinct.tolist()]
+        except OverflowError:  # Python's float pow raises where np.power would give inf
+            raise _out_of_range(config.k, "overflow") from None
         with np.errstate(over="ignore"):
             scores = tfidf * table[ef]
         if np.isinf(scores).any():

@@ -9,6 +9,7 @@ import time
 
 from helpers import make_power_law_corpus, make_topic_suite, random_small_corpus, ranked_list
 from oracle import naive_rerank, naive_search, overlap_at_k, precision_at_k
+from lotkarank.corpus import DocumentRecord
 from lotkarank.evaluation import (
     QrelSet,
     report_csv,
@@ -20,7 +21,6 @@ from lotkarank.rerank import (
     MissingPolicy,
     Mode,
     RankingConfig,
-    combined_score,
     rerank,
 )
 
@@ -218,11 +218,24 @@ def test_drop_accounting():
 
 @criterion("combined score strictly monotone in entity frequency")
 def test_monotonicity_sweep():
-    n = 100
-    tfidf = 2.5
-    for k in (0.5, 1.0, 2.0):
-        scores = [combined_score(tfidf, ef, n, k) for ef in range(1, n + 1)]
-        assert all(a < b for a, b in zip(scores, scores[1:]))
-    for k in (-0.5, -1.0):
-        scores = [combined_score(tfidf, ef, n, k) for ef in range(1, n + 1)]
-        assert all(a > b for a, b in zip(scores, scores[1:]))
+    # author a<e> writes e docs, each holding the query term once: every retrieved doc
+    # has the same tf-idf score, and its author's frequency is e
+    records = [DocumentRecord(doc_id="zfill", title="padding")]
+    ef = {}
+    for e in range(1, 13):
+        for i in range(e):
+            records.append(DocumentRecord(doc_id=f"a{e}-{i}", title="term", authors=[f"a{e}"]))
+            ef[f"a{e}-{i}"] = e
+    index = build_index(records)
+    rs = search("term", index)
+    assert rs.set_size == len(ef) and len(set(rs.scores.tolist())) == 1
+    for k in (0.5, 1.0, 2.0, -0.5, -1.0):
+        ranked = rerank(rs, RankingConfig(mode=Mode.COMBINED, field=EntityField.AUTHOR, k=k), index)
+        score_of_ef = {}
+        for doc_id, score, _ in ranked.entries:
+            assert score_of_ef.setdefault(ef[doc_id], score) == score
+        scores = [score_of_ef[e] for e in range(1, 13)]
+        if k > 0:
+            assert all(a < b for a, b in zip(scores, scores[1:]))
+        else:
+            assert all(a > b for a, b in zip(scores, scores[1:]))

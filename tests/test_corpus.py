@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -83,6 +84,25 @@ def test_parse_rejects_missing_required_keys():
 def test_parse_rejects_non_list_authors():
     with pytest.raises(CorpusError, match="line 1"):
         parse_corpus(['{"id": "d1", "title": "x", "body": "", "authors": "A"}'])
+
+
+@pytest.mark.parametrize("fields,message", [
+    ({"title": None}, "title and body must be strings"),
+    ({"body": 5}, "title and body must be strings"),
+    ({"authors": "Ada"}, "authors must be a list of strings"),
+    ({"authors": {"Ada": 1}}, "authors must be a list of strings"),
+    # the type checks come before the doc_id checks, in a file as in Python
+    ({"id": "", "title": ["t"]}, "title and body must be strings"),
+    ({"id": "a b", "authors": None}, "authors must be a list of strings"),
+])
+def test_record_built_in_python_gets_the_corpus_type_checks(fields, message):
+    obj = {"id": "d1", "title": "t", "body": "", "authors": [], **fields}
+    with pytest.raises(CorpusError) as info:
+        parse_corpus([json.dumps(obj)])
+    assert str(info.value) == f"line 1: {message}"
+    with pytest.raises(CorpusError) as info:
+        DocumentRecord(doc_id=obj["id"], title=obj["title"], body=obj["body"], authors=obj["authors"])
+    assert str(info.value) == message
 
 
 def test_parse_rejects_non_integer_year():

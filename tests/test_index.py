@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import math
 import os
 import pickle
@@ -321,9 +322,18 @@ def _layout_index():
     ])
 
 
+def _npy(array, version=None):
+    """The array's whole .npy file."""
+    buffer = io.BytesIO()
+    np.lib.format.write_array(buffer, np.asanyarray(array), version=version)
+    return buffer.getvalue()
+
+
 def _write_members(path, members):
-    with open(path, "wb") as fout:
-        np.savez(fout, **members)
+    """A zip of stored (uncompressed) .npy members; a bytes value is the member's whole .npy file."""
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, value in members.items():
+            archive.writestr(f"{name}.npy", value if isinstance(value, bytes) else _npy(value))
 
 
 def test_layout_index_members():
@@ -365,6 +375,7 @@ CORRUPTIONS = {
     "format not uint8": (_array(format=list(b"lotkarank-index/3")), "no layout tag"),
     "wrong version": ({"format": np.frombuffer(b"lotkarank-index/99", dtype=np.uint8)},
                       "unknown layout 'lotkarank-index/99'"),
+    "npy version 2.0": ({"ptr": _npy(np.array([0, 2, 4, 6]), version=(2, 0))}, "ptr is not in .npy version 1.0"),
     "missing member": ({"tfs": None}, "missing member tfs"),
     "extra member": (_array(notes=[1]), "unexpected member notes"),
     "float member": ({"tfs": np.ones(6)}, "tfs is not a 1-d integer array"),
@@ -448,7 +459,7 @@ def _load_capped(path):
     paths = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     done = subprocess.run([sys.executable, "-c", _CAPPED_LOAD, str(path)], env=env,
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, encoding="utf-8", timeout=60)
     assert done.returncode == 0, done.stderr
     return done.stdout.strip()
 

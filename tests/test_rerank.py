@@ -14,34 +14,9 @@ from lotkarank.rerank import (
     MissingPolicy,
     Mode,
     RankingConfig,
-    combined_score,
     rerank,
     write_run_file,
 )
-
-
-def test_combined_score_k_zero_is_identity():
-    assert combined_score(3.7, 2, 9, 0.0) == 3.7
-
-
-def test_combined_score_full_frequency_is_identity():
-    for k in (-2.0, -0.5, 0.0, 1.0, 3.0):
-        assert combined_score(1.9, 16, 16, k) == 1.9
-
-
-def test_combined_score_hand_computed():
-    assert combined_score(2.0, 4, 16, 1.0) == pytest.approx(0.5, abs=1e-15)
-    assert combined_score(2.0, 4, 16, -1.0) == pytest.approx(8.0, abs=1e-15)
-
-
-def test_combined_score_rejects_zero_ef():
-    with pytest.raises(ValueError):
-        combined_score(2.0, 0, 16, 1.0)
-
-
-def test_combined_score_rejects_ef_above_n():
-    with pytest.raises(ValueError):
-        combined_score(2.0, 17, 16, 1.0)
 
 
 def test_config_fills_implied_field():
@@ -148,6 +123,12 @@ def test_rerank_combined_k_zero_equals_tfidf_on_field_bearing_docs():
     assert ranked.doc_ids() == [d for d, _, _ in expected]
     assert [s for _, s, _ in ranked.entries] == [s for _, s, _ in expected]
     assert ranked.dropped == 1
+    # every retrieved doc shares one author, so ef = N and the factor is 1.0 for any k
+    index, rs = _indexed([("d1", 2, ["A"], None), ("d2", 0, ["A", "B"], None), ("d3", 1, ["A"], None)])
+    for k in (-2.0, -0.5, 1.0, 3.0):
+        ranked = rerank(rs, RankingConfig(mode=Mode.COMBINED, field=EntityField.AUTHOR, k=k), index)
+        assert ranked.entries == rs.entries
+        assert ranked.scores.tobytes() == rs.scores.tobytes()
 
 
 def test_rerank_combined_k_sign_flips_order():
@@ -179,43 +160,21 @@ def test_rerank_no_missing_fields_drops_nothing():
 
 def test_rerank_passthrough_keeps_missing_docs_at_tfidf_score():
     index, rs = _indexed([("d1", 0, ["A"], None), ("d2", 5, [], None)])
-    config = RankingConfig(
-        mode=Mode.COMBINED, field=EntityField.AUTHOR, k=1.0, missing_policy=MissingPolicy.PASSTHROUGH
-    )
-    ranked = rerank(rs, config, index)
-    assert ranked.dropped == 0
-    scores = dict((d, s) for d, s, _ in ranked.entries)
     tfidf = dict((d, s) for d, s, _ in rs.entries)
-    assert scores["d2"] == tfidf["d2"]  # untouched
-    assert scores["d1"] == tfidf["d1"] * (1 / 2)  # ef=1, N=2
-
-
-def test_rerank_monotone_in_ef_for_positive_k():
-    scores = [combined_score(2.5, ef, 50, 1.5) for ef in range(1, 51)]
-    assert all(a < b for a, b in zip(scores, scores[1:]))
-    scores = [combined_score(2.5, ef, 50, -1.5) for ef in range(1, 51)]
-    assert all(a > b for a, b in zip(scores, scores[1:]))
-
-
-def test_combined_score_names_k_when_out_of_float_range():
-    # (1/2) ** -1100 is past float range; (1/2) ** -1023.5 is not, but 4 times it is
-    with pytest.raises(ValueError, match=r"^k=-1100\.0 makes a combined score overflow; "):
-        combined_score(1.0, 1, 2, -1100.0)
-    assert combined_score(1.0, 1, 2, -1023.5) == 0.5 ** -1023.5
-    with pytest.raises(ValueError, match=r"^k=-1023\.5 "):
-        combined_score(4.0, 1, 2, -1023.5)
-    # (1/2) ** 1100 rounds to 0; (1/2) ** 1074 is the smallest float, but a quarter of it rounds to 0
-    with pytest.raises(ValueError, match=r"^k=1100\.0 makes a combined score underflow to 0; "
-                                         r"use a k of smaller magnitude$"):
-        combined_score(1.0, 1, 2, 1100.0)
-    assert combined_score(1.0, 1, 2, 1074.0) == 0.5 ** 1074 > 0.0
-    with pytest.raises(ValueError, match=r"^k=1074\.0 "):
-        combined_score(0.25, 1, 2, 1074.0)
+    for k, factor in ((1.0, 1 / 2), (-1.0, 2.0)):  # ef=1, N=2
+        config = RankingConfig(
+            mode=Mode.COMBINED, field=EntityField.AUTHOR, k=k, missing_policy=MissingPolicy.PASSTHROUGH
+        )
+        ranked = rerank(rs, config, index)
+        assert ranked.dropped == 0
+        scores = dict((d, s) for d, s, _ in ranked.entries)
+        assert scores["d2"] == tfidf["d2"]  # untouched
+        assert scores["d1"] == tfidf["d1"] * factor
 
 
 # the factor overflows; the factor times tf-idf does; the factor underflows; the factor
-# times tf-idf does
-@pytest.mark.parametrize("k", [-700.0, -645.0, 700.0, 678.0])
+# times tf-idf does; the largest score stays finite; the smallest stays above 0
+@pytest.mark.parametrize("k", [-700.0, -645.0, 700.0, 678.0, -640.0, 670.0])
 @pytest.mark.parametrize("policy", list(MissingPolicy))
 def test_rerank_combined_overflow_names_k(k, policy):
     # three retrieved docs, two with one author each: ef 1 of N 3, a factor of 3 ** -k;
@@ -224,11 +183,21 @@ def test_rerank_combined_overflow_names_k(k, policy):
     assert math.isfinite(3.0 ** 645) and math.isinf(float(rs.scores[0]) * 3.0 ** 645)
     assert 3.0 ** -678 > 0.0 and float(rs.scores[1]) * 3.0 ** -678 == 0.0
     config = RankingConfig(mode=Mode.COMBINED, field=EntityField.AUTHOR, k=k, missing_policy=policy)
-    what = "overflow" if k < 0 else "underflow to 0"
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy overflow warning on the way
-        with pytest.raises(ValueError, match=f"^k={k} makes a combined score {what};"):
-            rerank(rs, config, index)
+        if k in (-640.0, 670.0):
+            ranked = rerank(rs, config, index)
+            tfidf = dict((d, s) for d, s, _ in rs.entries)
+            expected = [tfidf["d1"] * (1 / 3) ** k, tfidf["d2"] * (1 / 3) ** k]
+            if policy is MissingPolicy.PASSTHROUGH:
+                expected.append(tfidf["d3"])
+            assert ranked.scores.tolist() == sorted(expected, reverse=True)
+            assert math.isfinite(ranked.scores[0]) and ranked.scores[-1] > 0.0
+        else:
+            what = "overflow" if k < 0 else "underflow to 0"
+            with pytest.raises(ValueError, match=f"^k={k} makes a combined score {what}; "
+                                                 "use a k of smaller magnitude$"):
+                rerank(rs, config, index)
 
 
 _ORDER_DEPENDENT = [

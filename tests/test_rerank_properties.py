@@ -1,8 +1,12 @@
 """Property-based differential tests of re-ranking and run files against the naive oracle."""
+import itertools
+import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,8 +22,14 @@ _WORDS = ["alpha", "béta", "γάμμα", "δ", "日本"]
 _TEXTS = st.lists(st.sampled_from(_WORDS[:3]), max_size=3).map(" ".join)
 
 
+_MODERATE_K = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0])
+# ks at and around the edges of float range for result sets of up to 10 docs
+_EXTREME_K = st.floats(-1100, 1100) | st.sampled_from([-700.0, -645.0, -640.0, 640.0, 645.0, 670.0,
+                                                       678.0, 700.0])
+
+
 @st.composite
-def ranked_corpus(draw):
+def ranked_corpus(draw, ks=_MODERATE_K):
     n_docs = draw(st.integers(min_value=1, max_value=10))
     doc_ids = draw(st.lists(_NAMES, min_size=n_docs, max_size=n_docs, unique=True))
     issns = draw(st.lists(_NAMES, min_size=1, max_size=4, unique_by=str.upper))
@@ -35,8 +45,7 @@ def ranked_corpus(draw):
         for doc_id in doc_ids
     ]
     query = " ".join(draw(st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3)))
-    k = draw(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0]))
-    return records, query, k
+    return records, query, draw(ks)
 
 
 @settings(derandomize=True, deadline=None)
@@ -65,6 +74,51 @@ def test_rerank_matches_naive_oracle(case):
             assert abs(got - want) <= 1e-9
         for top in (0, 1, len(expected), len(expected) + 5, None):
             assert ranked.doc_ids(top) == ranked.doc_ids()[:top]
+
+
+def _out_of_float_range(records, entries, field, k):
+    """How some field-bearing doc's tfidf * (ef / n) ** k leaves float range, or None."""
+    counts = naive_entity_counts(records, [doc_id for doc_id, _, _ in entries], field.value)
+    by_id = {rec.doc_id: rec for rec in records}
+    for doc_id, tfidf, _ in entries:
+        ef = naive_doc_ef(by_id[doc_id], counts, field.value)
+        if ef is None:
+            continue
+        try:
+            score = tfidf * (ef / len(entries)) ** k
+        except OverflowError:
+            return "overflow"
+        if math.isinf(score):
+            return "overflow"
+        if score == 0.0:
+            return "underflow to 0"
+    return None
+
+
+@settings(derandomize=True, deadline=None)
+@given(ranked_corpus(_MODERATE_K | _EXTREME_K))
+def test_rerank_errors_exactly_when_a_combined_score_leaves_float_range(case):
+    records, query, drawn_k = case
+    index = build_index(records)
+    rs = search(query, index)
+    # a power-of-two scale keeps every score exact and the search order; at 2 ** 1000 and
+    # 2 ** -1000, k = -100 and k = 100 leave the factor in range but not its product with
+    # the score, in every corpus with a doc whose ef is at most N / 2
+    for scale, k in itertools.product((1.0, 2.0 ** -1000, 2.0 ** 1000), (drawn_k, -100.0, 100.0)):
+        scaled = replace(rs, scores=rs.scores * scale)
+        for field in EntityField:
+            what = _out_of_float_range(records, scaled.entries, field, k)
+            for policy in MissingPolicy:
+                config = RankingConfig(mode=Mode.COMBINED, field=field, k=k, missing_policy=policy)
+                if what is None:
+                    expected = naive_rerank(records, scaled.entries, "combined", field.value, k, policy.value)
+                    ranked = rerank(scaled, config, index)
+                    assert (ranked.entries, ranked.dropped) == expected
+                else:
+                    with pytest.raises(ValueError) as info:
+                        rerank(scaled, config, index)
+                    assert str(info.value) == f"k={config.k} makes a combined score {what}; " \
+                                              "use a k of smaller magnitude"
 
 
 # (entity frequency as a multiple of e, tf): tf 2 at ef e and tf 1 at ef 2e give equal
