@@ -123,12 +123,6 @@ def test_rerank_combined_k_zero_equals_tfidf_on_field_bearing_docs():
     assert ranked.doc_ids() == [d for d, _, _ in expected]
     assert [s for _, s, _ in ranked.entries] == [s for _, s, _ in expected]
     assert ranked.dropped == 1
-    # every retrieved doc shares one author, so ef = N and the factor is 1.0 for any k
-    index, rs = _indexed([("d1", 2, ["A"], None), ("d2", 0, ["A", "B"], None), ("d3", 1, ["A"], None)])
-    for k in (-2.0, -0.5, 1.0, 3.0):
-        ranked = rerank(rs, RankingConfig(mode=Mode.COMBINED, field=EntityField.AUTHOR, k=k), index)
-        assert ranked.entries == rs.entries
-        assert ranked.scores.tobytes() == rs.scores.tobytes()
 
 
 def test_rerank_combined_k_sign_flips_order():
@@ -160,16 +154,65 @@ def test_rerank_no_missing_fields_drops_nothing():
 
 def test_rerank_passthrough_keeps_missing_docs_at_tfidf_score():
     index, rs = _indexed([("d1", 0, ["A"], None), ("d2", 5, [], None)])
+    config = RankingConfig(
+        mode=Mode.COMBINED, field=EntityField.AUTHOR, k=1.0, missing_policy=MissingPolicy.PASSTHROUGH
+    )
+    ranked = rerank(rs, config, index)
+    assert ranked.dropped == 0
+    scores = dict((d, s) for d, s, _ in ranked.entries)
     tfidf = dict((d, s) for d, s, _ in rs.entries)
-    for k, factor in ((1.0, 1 / 2), (-1.0, 2.0)):  # ef=1, N=2
-        config = RankingConfig(
-            mode=Mode.COMBINED, field=EntityField.AUTHOR, k=k, missing_policy=MissingPolicy.PASSTHROUGH
-        )
-        ranked = rerank(rs, config, index)
-        assert ranked.dropped == 0
-        scores = dict((d, s) for d, s, _ in ranked.entries)
-        assert scores["d2"] == tfidf["d2"]  # untouched
-        assert scores["d1"] == tfidf["d1"] * factor
+    assert scores["d2"] == tfidf["d2"]  # untouched
+    assert scores["d1"] == tfidf["d1"] * (1 / 2)  # ef=1, N=2
+
+
+def _combined_scores(rs, index, k, policy=MissingPolicy.DROP):
+    """doc_id -> combined score of rerank at k over the author field."""
+    config = RankingConfig(mode=Mode.COMBINED, field=EntityField.AUTHOR, k=k, missing_policy=policy)
+    return {d: s for d, s, _ in rerank(rs, config, index).entries}
+
+
+def test_combined_score_k_zero_is_identity():
+    # ef 2 of N 9 and ef 1 of N 9: a factor of 1.0 at k = 0 whatever the frequency
+    spec = [(f"d{i}", i % 3, [f"a{i}"], None) for i in range(7)] + [
+        ("e1", 4, ["Ann"], None), ("e2", 0, ["Ann"], None)]
+    index, rs = _indexed(spec)
+    tfidf = {d: s for d, s, _ in rs.entries}
+    assert _combined_scores(rs, index, 0.0) == tfidf
+    ranked = rerank(rs, RankingConfig(mode=Mode.COMBINED, field=EntityField.AUTHOR, k=0.0), index)
+    assert ranked.scores.tobytes() == rs.scores.tobytes()
+
+
+def test_combined_score_full_frequency_is_identity():
+    # every retrieved doc shares one author, so ef = N and the factor is 1.0 for any k
+    index, rs = _indexed([("d1", 2, ["A"], None), ("d2", 0, ["A", "B"], None), ("d3", 1, ["A"], None)])
+    for k in (-2.0, -0.5, 0.0, 1.0, 3.0):
+        ranked = rerank(rs, RankingConfig(mode=Mode.COMBINED, field=EntityField.AUTHOR, k=k), index)
+        assert ranked.entries == rs.entries
+        assert ranked.scores.tobytes() == rs.scores.tobytes()
+
+
+def test_combined_score_hand_computed():
+    # Ann writes 4 of the 16 retrieved docs: ef 4 of N 16, a factor of 1/4 at k = 1, 4 at k = -1
+    spec = [(f"d{i}", 0, ["Ann"] if i < 4 else [f"a{i}"], None) for i in range(16)]
+    index, rs = _indexed(spec)
+    assert rs.set_size == 16
+    tfidf = {d: s for d, s, _ in rs.entries}
+    for k, factor in ((1.0, 0.25), (-1.0, 4.0)):
+        scores = _combined_scores(rs, index, k)
+        for i in range(4):
+            assert scores[f"d{i}"] == pytest.approx(tfidf[f"d{i}"] * factor, rel=1e-15)
+
+
+def test_rerank_monotone_in_ef_for_positive_k():
+    # author a<e> writes e docs with equal tf-idf: the combined score rises with e for k > 0
+    # and falls with e for k < 0
+    spec = [(f"a{e}-{i}", 0, [f"a{e}"], None) for e in range(1, 8) for i in range(e)]
+    index, rs = _indexed(spec)
+    assert len(set(rs.scores.tolist())) == 1
+    for k, sign in ((1.5, 1), (-1.5, -1)):
+        scores = _combined_scores(rs, index, k)
+        by_ef = [scores[f"a{e}-0"] for e in range(1, 8)]
+        assert all(sign * (b - a) > 0 for a, b in zip(by_ef, by_ef[1:]))
 
 
 # the factor overflows; the factor times tf-idf does; the factor underflows; the factor
