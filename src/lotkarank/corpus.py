@@ -43,8 +43,7 @@ def _clean_optional(doc_id: str, key: str, value):
         return None
     if not isinstance(value, str):
         raise CorpusError(f"doc_id {doc_id!r}: {key} must be a string")
-    value = value.strip()
-    return value or None
+    return " ".join(value.split()) or None  # strip, and collapse each whitespace run to one space
 
 
 @dataclass
@@ -155,8 +154,8 @@ def parse_corpus(lines) -> list[DocumentRecord]:
 
 @contextmanager
 def open_text(path):
-    """open(path, encoding="utf-8") for reading; ValueError naming path if the file is not UTF-8."""
-    with open(path, encoding="utf-8") as fin:
+    """open(path) for reading UTF-8, a leading byte order mark skipped; ValueError naming path if not UTF-8."""
+    with open(path, encoding="utf-8-sig") as fin:
         try:
             yield fin
         except UnicodeDecodeError as exc:

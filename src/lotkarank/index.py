@@ -32,10 +32,10 @@ A saved index is an uncompressed zip of ``.npy`` members, as ``np.savez``
 writes, but with a fixed timestamp so that equal indexes give equal bytes.
 It holds arrays only: the layout tag (``format``, UTF-8 bytes), each
 string list (terms in row order, doc ids, journal names, author names) as
-one UTF-8 blob plus the offset of each string in it, and the integer
-arrays. ``InvertedIndex.load`` reads only 1-d integer ``.npy`` members,
-each once its header's size fits in the member's bytes, and checks every
-member before use.
+UTF-8 text with every string ended by a line break (no saved string holds
+one), and the integer arrays. ``InvertedIndex.load`` reads only 1-d
+integer ``.npy`` members, each once its header's size fits in the
+member's bytes, and checks every member before use.
 """
 import math
 import zipfile
@@ -51,11 +51,10 @@ from .corpus import EntityField, tokenize
 from .output import whole_file
 
 # layout of a saved index; change it whenever the members or their meaning change
-_FORMAT = "lotkarank-index/3"
+_FORMAT = "lotkarank-index/4"
 _STRING_LISTS = ("terms", "doc_ids", "journal_names", "author_names")
 _ARRAYS = ("ptr", "docs", "tfs", "journal_codes", "author_ptr", "author_codes")
-_MEMBERS = ("format", *(f"{name}_{part}" for name in _STRING_LISTS for part in ("blob", "offsets")),
-            *_ARRAYS)
+_MEMBERS = ("format", *_STRING_LISTS, *_ARRAYS)
 _ZIP_DATE = (1980, 1, 1, 0, 0, 0)  # the earliest date a zip header holds: no build time in the file
 _REBUILD = "rebuild it with `lotkarank index`"
 
@@ -99,28 +98,17 @@ class ResultSet:
 
 
 def _pack_strings(strings):
-    """One UTF-8 blob of the strings, and the offset of each string in it plus the blob length."""
-    encoded = [s.encode("utf-8") for s in strings]
-    offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
-    np.cumsum([len(b) for b in encoded], out=offsets[1:])
-    return np.frombuffer(b"".join(encoded), dtype=np.uint8), _narrow(offsets, offsets[-1])
+    """The strings as UTF-8 text (uint8), each one ended by a line break."""
+    text = "\n".join([*strings, ""])
+    if text.count("\n") != len(strings):  # such a string would load as two
+        bad = next(s for s in strings if "\n" in s)
+        raise ValueError(f"cannot save {bad!r}: a saved string holds no line break")
+    return np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
 
 
-def _unpack_strings(blob, offsets) -> list[str]:
-    """The strings _pack_strings packed; UnicodeDecodeError unless each one is UTF-8."""
-    data = blob.tobytes()
-    text = data.decode("utf-8")
-    offsets = offsets.astype(np.int64, copy=False)  # any integer type; values in 0..len(blob)
-    # a continuation byte (10xxxxxx) is never the first byte of a character: a string
-    # starting on one would not decode alone, and each one before a byte offset
-    # puts it one ahead of the character offset
-    continuation = np.append((blob & 0xC0) == 0x80, False)  # the blob's end is no byte
-    split = continuation[offsets]
-    if split.any():
-        start = int(offsets[split][0])
-        raise UnicodeDecodeError("utf-8", data, start, start + 1, "a string starts inside a character")
-    bounds = (offsets - np.searchsorted(np.flatnonzero(continuation), offsets)).tolist()
-    return [text[start:stop] for start, stop in zip(bounds, bounds[1:])]
+def _unpack_strings(text) -> list[str]:
+    """The strings _pack_strings packed (the text ends with a line break); UnicodeDecodeError unless UTF-8."""
+    return text.tobytes().decode("utf-8").split("\n")[:-1]
 
 
 def _narrow(values, largest):
@@ -132,11 +120,11 @@ def _within(values, low, high) -> bool:
     return len(values) == 0 or (int(values.min()) >= low and int(values.max()) <= high)
 
 
-def _offsets_valid(offsets, end) -> bool:
+def _splits(ptr, end) -> bool:
     """Starts at 0, never decreases, and ends at end."""
-    if len(offsets) == 0 or offsets[0] != 0 or offsets[-1] != end:
+    if len(ptr) == 0 or ptr[0] != 0 or ptr[-1] != end:
         return False
-    return bool(np.all(offsets[1:] >= offsets[:-1]))
+    return bool(np.all(ptr[1:] >= ptr[:-1]))
 
 
 def _strictly_sorted(strings) -> bool:
@@ -255,8 +243,7 @@ class InvertedIndex:
         """The arrays of the saved file, by member name, in file order."""
         members = {"format": np.frombuffer(_FORMAT.encode("utf-8"), dtype=np.uint8)}
         strings = (list(self._term_ids), self._doc_ids, self._journal_names, self._author_names)
-        for name, values in zip(_STRING_LISTS, strings):
-            members[f"{name}_blob"], members[f"{name}_offsets"] = _pack_strings(values)
+        members.update(zip(_STRING_LISTS, map(_pack_strings, strings)))
         arrays = (self._ptr, self._docs, self._tfs, self._journal_codes, self._author_ptr, self._author_codes)
         members.update(zip(_ARRAYS, arrays))
         return members
@@ -311,13 +298,13 @@ class InvertedIndex:
 
         strings = {}
         for name in _STRING_LISTS:
-            blob, offsets = members[f"{name}_blob"], members[f"{name}_offsets"]
-            _require(blob.dtype == np.uint8, f"{name}_blob is not a uint8 array")
-            _require(_offsets_valid(offsets, len(blob)), f"{name}_offsets do not split {name}_blob")
+            text = members[name]
+            _require(text.dtype == np.uint8, f"{name} is not a uint8 array")
+            _require(len(text) == 0 or text[-1] == ord("\n"), f"{name} does not end with a line break")
             try:
-                strings[name] = _unpack_strings(blob, offsets)
+                strings[name] = _unpack_strings(text)
             except UnicodeDecodeError:
-                raise _Invalid(f"{name}_blob is not UTF-8") from None
+                raise _Invalid(f"{name} is not UTF-8") from None
         terms, doc_ids = strings["terms"], strings["doc_ids"]
         journal_names, author_names = strings["journal_names"], strings["author_names"]
         n = len(doc_ids)
@@ -333,7 +320,7 @@ class InvertedIndex:
         ptr, docs, tfs = members["ptr"], members["docs"], members["tfs"]
         _require(len(ptr) == len(terms) + 1, "ptr does not have one entry per term plus one")
         # every row is nonempty, as df is its length and idf divides by it
-        _require(_offsets_valid(ptr, len(docs)) and bool(np.all(ptr[1:] > ptr[:-1])),
+        _require(_splits(ptr, len(docs)) and bool(np.all(ptr[1:] > ptr[:-1])),
                  "ptr does not split docs into nonempty rows")
         _require(len(tfs) == len(docs), "tfs and docs differ in length")
         _require(_within(docs, 0, n - 1), "a doc position is out of range")
@@ -345,7 +332,7 @@ class InvertedIndex:
         journal_codes, author_ptr, author_codes = (members[name] for name in _ARRAYS[3:])
         _require(len(journal_codes) == n, "journal_codes does not have one code per document")
         _require(_within(journal_codes, -1, len(journal_names) - 1), "a journal code is out of range")
-        _require(len(author_ptr) == n + 1 and _offsets_valid(author_ptr, len(author_codes)),
+        _require(len(author_ptr) == n + 1 and _splits(author_ptr, len(author_codes)),
                  "author_ptr does not split author_codes into documents")
         _require(_within(author_codes, 0, len(author_names) - 1), "an author code is out of range")
 

@@ -24,7 +24,6 @@ class EntityFrequencyTable:
     field: EntityField
     counts: dict[str, int]
     covered_docs: int  # result-set documents with at least one value
-    result_size: int  # N of the originating ResultSet
     # entity frequency of each result-set entry in rank order, 0 where the field
     # is missing; set by entity_frequencies
     doc_ef: np.ndarray | None = dc_field(default=None, repr=False, compare=False)
@@ -35,7 +34,6 @@ class PowerLawFit:
     c: float
     alpha: float
     r_squared: float
-    points_used: int
 
 
 def entity_frequencies(rs: ResultSet, field: EntityField, index: InvertedIndex) -> EntityFrequencyTable:
@@ -63,7 +61,6 @@ def entity_frequencies(rs: ResultSet, field: EntityField, index: InvertedIndex) 
         field=field,
         counts=dict(zip(map(names.__getitem__, seen.tolist()), counts[seen].tolist())),
         covered_docs=covered,
-        result_size=rs.set_size,
         doc_ef=doc_ef,
     )
 
@@ -96,7 +93,7 @@ def fit_power_law(series) -> PowerLawFit:
     if min(ranks) == max(ranks):
         raise ValueError("power-law fit needs at least 2 distinct ranks")
     if min(freqs) == max(freqs):
-        return PowerLawFit(c=float(freqs[0]), alpha=0.0, r_squared=1.0, points_used=len(series))
+        return PowerLawFit(c=float(freqs[0]), alpha=0.0, r_squared=1.0)
     x = np.log(np.asarray(ranks, dtype=np.float64))
     y = np.log(np.asarray(freqs, dtype=np.float64))
     dx, dy = x - x.mean(), y - y.mean()
@@ -107,7 +104,6 @@ def fit_power_law(series) -> PowerLawFit:
         c=math.exp(float(y.mean()) - slope * float(x.mean())),
         alpha=0.0 - slope,  # never -0.0, as -slope would be for a slope of 0.0
         r_squared=r * r,
-        points_used=len(series),
     )
 
 

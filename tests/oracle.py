@@ -128,9 +128,3 @@ def overlap_at_k(a, b, k):
 def naive_run_lines(query_id, doc_ids, scores, tag):
     """One run line per entry: the score as the list's own Python number, formatted alone."""
     return "".join(f"{query_id} Q0 {d} {r} {s:.6f} {tag}\n" for r, (d, s) in enumerate(zip(doc_ids, scores), 1))
-
-
-def naive_unpack_strings(blob, offsets):
-    """Decode each string of a blob on its own; UnicodeDecodeError if one is not UTF-8."""
-    data, bounds = bytes(blob), list(offsets)
-    return [data[start:stop].decode("utf-8") for start, stop in zip(bounds, bounds[1:])]

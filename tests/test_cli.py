@@ -1,3 +1,4 @@
+import codecs
 import io
 import math
 import os
@@ -11,7 +12,8 @@ import pytest
 from helpers import CreatesFileOnUnpickle, make_topic_suite, qrels_lines, save_corpus, topics_lines
 from lotkarank import output
 from lotkarank.cli import main
-from lotkarank.corpus import DocumentRecord
+from lotkarank.corpus import DocumentRecord, load_corpus
+from lotkarank.evaluation import Topic, load_qrels, load_topics
 
 
 def _write(path, lines):
@@ -523,6 +525,32 @@ def test_input_that_is_not_utf8_is_named(tmp_path, capsys, bad):
     assert captured.out == ""
     assert captured.err == f"error: {path} is not UTF-8 text (invalid start byte)\n"
     assert sorted(tmp_path.iterdir()) == before
+
+
+def test_byte_order_mark_is_skipped(tmp_path):
+    # some editors start a UTF-8 file with a byte order mark (EF BB BF); it is no part of the first line
+    corpus = _tiny_corpus(tmp_path)
+    _write(tmp_path / "topics.tsv", ["t1\tquake", "t2\tflood"])
+    _write(tmp_path / "qrels.txt", ["t1 0 d1 1", "t2 0 d5 1"])
+    results = []
+    for directory, prefix in ((tmp_path / "plain", b""), (tmp_path / "marked", codecs.BOM_UTF8)):
+        directory.mkdir()
+        for path in (corpus, tmp_path / "topics.tsv", tmp_path / "qrels.txt"):
+            (directory / path.name).write_bytes(prefix + path.read_bytes())
+        corpus_path, topics, qrels, idx = (
+            directory / name for name in ("corpus.jsonl", "topics.tsv", "qrels.txt", "c.idx"))
+        assert main(["index", "--corpus", str(corpus_path), "--out", str(idx)]) == 0
+        assert main(["eval", "--index", str(idx), "--topics", str(topics), "--qrels", str(qrels),
+                     "--modes", "tfidf,brad,lotka,combined", "--field", "author", "--out", str(directory / "exp")]) == 0
+        outputs = {path.name: path.read_bytes() for path in directory.iterdir() if path.name.startswith(("exp.", "c."))}
+        results.append((load_corpus(corpus_path), load_topics(topics), load_qrels(qrels).judgments, outputs))
+    plain, marked = results
+    assert [rec.doc_id for rec in plain[0]] == ["d1", "d2", "d3", "d4", "d5"]
+    assert plain[1] == [Topic("t1", "quake"), Topic("t2", "flood")]
+    assert plain[2] == {("t1", "d1"): 1, ("t2", "d5"): 1}
+    assert sorted(plain[3]) == ["c.idx", "exp.brad.run", "exp.combined_k1.0.run", "exp.lotka.run",
+                                "exp.report.csv", "exp.report.txt", "exp.tfidf.run"]
+    assert marked == plain
 
 
 def _power_law_author_corpus(tmp_path):

@@ -1,10 +1,12 @@
 """Property-based test of the command line on arbitrary input files.
 
 `index` and then `eval` run in process over corpus, topics and qrels
-files of any bytes, invalid UTF-8 included, mixed with lines that parse.
+files of any bytes, invalid UTF-8 included, mixed with lines that parse
+and sometimes led by a byte order mark.
 Each command exits 0 or 1; on 1 it prints nothing on stdout, one
 `error:` line on stderr and leaves no output file behind.
 """
+import codecs
 import contextlib
 import io
 import json
@@ -34,11 +36,14 @@ _QREL_LINE = st.tuples(_TOPIC_ID, _DOC_ID, st.sampled_from(["0", "1", "2", "-1",
 
 @st.composite
 def _file(draw, line):
-    """Lines that may parse, joined by one kind of newline; half the time any bytes go in somewhere."""
+    """Lines that may parse, joined by one kind of newline; half the time any bytes go in somewhere.
+
+    A UTF-8 byte order mark may start the file.
+    """
     lines = draw(st.lists(line, max_size=5))
     if draw(st.booleans()):
         lines.insert(draw(st.integers(0, len(lines))), draw(_BYTES))
-    return draw(_NEWLINE).join(lines)
+    return draw(st.sampled_from([b"", codecs.BOM_UTF8])) + draw(_NEWLINE).join(lines)
 
 
 def _run(argv, directory):

@@ -130,6 +130,13 @@ def test_issn_uppercased_hyphens_kept():
     assert rec.journal_issn == "1234-567X"
 
 
+def test_optional_strings_are_trimmed_and_collapsed_as_author_names():
+    # the index saves each ISSN on a line of its own, so none may hold a line break
+    rec = DocumentRecord(doc_id="d1", title="t", journal_issn="\n1234-\n\t567x ",
+                         journal_title=" Acta \u2028 Informetrica ", publisher="A\r\nPress")
+    assert (rec.journal_issn, rec.journal_title, rec.publisher) == ("1234- 567X", "Acta Informetrica", "A Press")
+
+
 def test_blank_optional_strings_become_none():
     rec = DocumentRecord(doc_id="d1", title="t", journal_issn="  ", journal_title="", publisher=" ")
     assert rec.journal_issn is None

@@ -340,29 +340,32 @@ def test_layout_index_members():
     # the arrays the corruption cases below start from
     members = _layout_index()._members()
     assert list(members) == [
-        "format", "terms_blob", "terms_offsets", "doc_ids_blob", "doc_ids_offsets",
-        "journal_names_blob", "journal_names_offsets", "author_names_blob", "author_names_offsets",
+        "format", "terms", "doc_ids", "journal_names", "author_names",
         "ptr", "docs", "tfs", "journal_codes", "author_ptr", "author_codes",
     ]
-    assert bytes(members["format"]) == b"lotkarank-index/3"
-    assert bytes(members["terms_blob"]) == b"alphabetagamma"
-    assert members["terms_offsets"].tolist() == [0, 5, 9, 14]
-    assert bytes(members["author_names_blob"]).decode("utf-8") == "AnnÉmile"
-    assert members["author_names_offsets"].tolist() == [0, 3, 9]
+    assert bytes(members["format"]) == b"lotkarank-index/4"
+    assert bytes(members["terms"]) == b"alpha\nbeta\ngamma\n"
+    assert bytes(members["doc_ids"]) == b"d1\nd2\nd3\n"
+    assert bytes(members["journal_names"]) == b"1111-1111\n2222-2222\n"
+    assert bytes(members["author_names"]).decode("utf-8") == "Ann\nÉmile\n"
+    assert [m.dtype for m in members.values()][:5] == [np.uint8] * 5
     assert members["ptr"].tolist() == [0, 2, 4, 6]
     assert members["docs"].tolist() == [0, 2, 0, 1, 1, 2]
     assert members["tfs"].tolist() == [1, 1, 1, 1, 1, 2]
     assert members["journal_codes"].tolist() == [0, -1, 1]
     assert members["author_ptr"].tolist() == [0, 2, 3, 3]
     assert members["author_codes"].tolist() == [0, 1, 1]
-    assert [m.dtype for m in members.values()][9:] == [
+    assert [m.dtype for m in members.values()][5:] == [
         np.uint8, np.uint8, np.uint8, np.int32, np.int64, np.int32,
     ]
 
 
 def _strings(name, values):
-    blob, offsets = _pack_strings(values)
-    return {f"{name}_blob": blob, f"{name}_offsets": offsets}
+    return {name: _pack_strings(values)}
+
+
+def _text(name, data):
+    return {name: np.frombuffer(data, dtype=np.uint8)}
 
 
 def _array(**values):
@@ -372,23 +375,23 @@ def _array(**values):
 # (changed members, None to drop a member; the reason the loader gives)
 CORRUPTIONS = {
     "no format": ({"format": None}, "no layout tag (a uint8 member named format)"),
-    "format not uint8": (_array(format=list(b"lotkarank-index/3")), "no layout tag"),
+    "format not uint8": (_array(format=list(b"lotkarank-index/4")), "no layout tag"),
     "wrong version": ({"format": np.frombuffer(b"lotkarank-index/99", dtype=np.uint8)},
                       "unknown layout 'lotkarank-index/99'"),
+    # the layout before the line-ended string lists, with a blob and an offsets member per list
+    "previous layout": ({"format": np.frombuffer(b"lotkarank-index/3", dtype=np.uint8)},
+                        "unknown layout 'lotkarank-index/3'"),
     "npy version 2.0": ({"ptr": _npy(np.array([0, 2, 4, 6]), version=(2, 0))}, "ptr is not in .npy version 1.0"),
     "missing member": ({"tfs": None}, "missing member tfs"),
     "extra member": (_array(notes=[1]), "unexpected member notes"),
     "float member": ({"tfs": np.ones(6)}, "tfs is not a 1-d integer array"),
     "2-d member": ({"docs": np.zeros((2, 3), dtype=np.uint8)}, "docs is not a 1-d integer array"),
-    "wide blob": ({"terms_blob": np.frombuffer(b"alphabetagamma", dtype=np.uint8).astype(np.uint16)},
-                  "terms_blob is not a uint8 array"),
-    "offsets start above 0": (_array(terms_offsets=[1, 5, 9, 14]), "terms_offsets do not split terms_blob"),
-    "offsets decrease": (_array(terms_offsets=[0, 9, 5, 14]), "terms_offsets do not split terms_blob"),
-    "offsets end early": (_array(doc_ids_offsets=[0, 2, 4, 5]), "doc_ids_offsets do not split doc_ids_blob"),
-    "offsets empty": (_array(doc_ids_offsets=[]), "doc_ids_offsets do not split doc_ids_blob"),
-    "blob not utf-8": ({"doc_ids_blob": np.frombuffer(b"d1d\xffd3", dtype=np.uint8)},
-                       "doc_ids_blob is not UTF-8"),
-    "offset inside a character": (_array(author_names_offsets=[0, 4, 9]), "author_names_blob is not UTF-8"),
+    "wide blob": ({"terms": _pack_strings(["alpha", "beta", "gamma"]).astype(np.uint16)},
+                  "terms is not a uint8 array"),
+    "blob not utf-8": (_text("doc_ids", b"d1\nd\xff\nd3\n"), "doc_ids is not UTF-8"),
+    "text cut inside a character": (_text("author_names", "Ann\nÉmile\n".encode("utf-8")[:5] + b"\n"),
+                                    "author_names is not UTF-8"),
+    "no final line break": (_text("terms", b"alpha\nbeta\ngamma"), "terms does not end with a line break"),
     "no documents": ({**_strings("doc_ids", []), **_array(journal_codes=[], author_ptr=[0])}, "no documents"),
     "doc ids unsorted": (_strings("doc_ids", ["d2", "d1", "d3"]), "doc ids are not strictly sorted"),
     "doc ids repeated": (_strings("doc_ids", ["d1", "d1", "d3"]), "doc ids are not strictly sorted"),
@@ -498,9 +501,9 @@ def test_load_rejects_compressed_member(tmp_path):
 
 def test_load_accepts_members_in_wider_integer_types(tmp_path):
     index = _layout_index()
+    texts = ("format", "terms", "doc_ids", "journal_names", "author_names")
     members = {
-        name: value if name == "format" or name.endswith("_blob") else value.astype(np.int64)
-        for name, value in index._members().items()
+        name: value if name in texts else value.astype(np.int64) for name, value in index._members().items()
     }
     members["docs"] = members["docs"].astype(np.uint64)
     path = tmp_path / "wide.idx"

@@ -35,7 +35,6 @@ def test_empty_result_set_gives_empty_table():
     table = entity_frequencies(ResultSet(query_id="q"), EntityField.AUTHOR, index)
     assert table.counts == {}
     assert table.covered_docs == 0
-    assert table.result_size == 0
 
 
 def test_single_journal_counted_once_per_doc():
@@ -59,7 +58,6 @@ def test_docs_without_field_contribute_nothing():
     table = entity_frequencies(rs, EntityField.AUTHOR, index)
     assert table.counts == {"A": 1}
     assert table.covered_docs == 1
-    assert table.result_size == 2
 
 
 def test_entity_frequencies_match_brute_force_recount():
@@ -71,7 +69,7 @@ def test_entity_frequencies_match_brute_force_recount():
         for field, name in ((EntityField.JOURNAL, "journal"), (EntityField.AUTHOR, "author")):
             table = entity_frequencies(rs, field, index)
             assert table.counts == naive_entity_counts(records, rs.doc_ids(), name)
-            assert table.covered_docs <= table.result_size
+            assert table.covered_docs <= rs.set_size
 
 
 def _doc_ef(doc_id, table, rs):
@@ -116,9 +114,7 @@ def test_doc_entity_frequency_unknown_doc_raises():
 
 
 def _table(counts):
-    return EntityFrequencyTable(
-        field=EntityField.AUTHOR, counts=counts, covered_docs=0, result_size=0
-    )
+    return EntityFrequencyTable(field=EntityField.AUTHOR, counts=counts, covered_docs=0)
 
 
 def test_series_empty_table():
@@ -144,7 +140,6 @@ def test_fit_exact_power_law():
     assert fit.alpha == pytest.approx(2.0, abs=1e-9)
     assert fit.c == pytest.approx(100.0, rel=1e-6)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-9)
-    assert fit.points_used == 20
 
 
 def test_fit_constant_series_has_zero_slope():
@@ -164,7 +159,6 @@ def test_fit_constant_series_is_flat_and_exact():
             assert math.copysign(1.0, fit.alpha) == 1.0
             assert fit.c == value
             assert fit.r_squared == 1.0
-            assert fit.points_used == n
 
 
 def test_fit_two_points_solved_by_hand():
