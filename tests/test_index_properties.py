@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import naive_search, naive_tokenize
-from lotkarank.corpus import DocumentRecord, tokenize
+from lotkarank.corpus import _TOKEN_RE, DocumentRecord, tokenize
 from lotkarank.index import InvertedIndex, _pack_strings, _unpack_strings, build_index, search
 
 # letters and digits from any script, including ones whose lowercase form
@@ -81,6 +81,20 @@ def test_tokenize_of_lines_is_tokenize_of_each(a, b):
 @given(_ANY_TEXT)
 def test_tokenize_matches_naive_oracle(text):
     assert tokenize(text) == naive_tokenize(text)
+
+
+# ASCII text takes tokenize's translate-table branch, which _ANY_TEXT seldom reaches
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(st.text(st.characters(max_codepoint=127)))
+def test_tokenize_of_ascii_matches_the_pattern_and_naive_oracle(text):
+    assert tokenize(text) == _TOKEN_RE.findall(text.lower()) == naive_tokenize(text)
+
+
+def test_tokenize_of_each_ascii_character():
+    # every code point between letters, at both ends and alone
+    for ch in map(chr, range(128)):
+        for text in (f"a{ch}b", f"A{ch}B", f"{ch}ab", f"ab{ch}", ch):
+            assert tokenize(text) == _TOKEN_RE.findall(text.lower()) == naive_tokenize(text), repr(text)
 
 
 @settings(derandomize=True, deadline=None)
