@@ -383,6 +383,18 @@ def build_index(docs) -> InvertedIndex:
                          author_names, author_ptr, author_codes)
 
 
+def descending(values) -> np.ndarray:
+    """The indices that sort values descending, equal values keeping their index order.
+
+    Each value is replaced by its dense rank among the distinct values, and
+    the ranks are sorted stably in the narrowest unsigned type that holds
+    them: with at most 65,536 distinct values numpy sorts them by radix, in
+    linear time, whatever the number of values.
+    """
+    distinct, rank = np.unique(-values, return_inverse=True)
+    return np.argsort(_narrow(rank, len(distinct)), kind="stable")
+
+
 def search(query: str, index: InvertedIndex, query_id: str = "q") -> ResultSet:
     """Retrieve every document with positive tf-idf score for the query.
 
@@ -404,7 +416,7 @@ def search(query: str, index: InvertedIndex, query_id: str = "q") -> ResultSet:
     if scores is None:
         return ResultSet(query_id=query_id, doc_id_table=index._doc_ids)
     positions = np.flatnonzero(scores > 0.0)
-    # stable sort on negated scores: ties stay in position order, and
-    # positions follow doc_id order, so this is (score desc, doc_id asc)
-    order = positions[np.argsort(-scores[positions], kind="stable")]
+    # score desc with ties in position order, and positions follow doc_id
+    # order, so this is (score desc, doc_id asc)
+    order = positions[descending(scores[positions])]
     return ResultSet(query_id=query_id, positions=order, scores=scores[order], doc_id_table=index._doc_ids)

@@ -8,7 +8,7 @@ entity frequency comes from the same count (``EntityFrequencyTable.doc_ef``).
 import csv
 import io
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,16 +17,40 @@ from .index import InvertedIndex, ResultSet
 from .output import whole_file
 
 
-@dataclass
 class EntityFrequencyTable:
-    """Entity value -> number of result-set documents carrying it."""
+    """Entity value -> number of result-set documents carrying it.
 
-    field: EntityField
-    counts: dict[str, int]
-    covered_docs: int  # result-set documents with at least one value
-    # entity frequency of each result-set entry in rank order, 0 where the field
-    # is missing; set by entity_frequencies
-    doc_ef: np.ndarray | None = dc_field(default=None, repr=False, compare=False)
+    ``counts`` is that dict. ``entity_frequencies`` tallies the counts by
+    entity code and builds the dict from the tally on its first read, as
+    re-ranking reads only ``doc_ef``; a table constructed with ``counts``
+    holds that dict from the start.
+    """
+
+    def __init__(self, field: EntityField, counts: dict[str, int] | None, covered_docs: int,
+                 doc_ef: np.ndarray | None = None, *, names=None, tally=None):
+        self.field = field
+        self._counts = counts
+        self._names, self._tally = names, tally  # the name and count of each code
+        self.covered_docs = covered_docs  # result-set documents with at least one value
+        # entity frequency of each result-set entry in rank order, 0 where the field
+        # is missing; set by entity_frequencies
+        self.doc_ef = doc_ef
+
+    @property
+    def counts(self) -> dict[str, int]:
+        if self._counts is None:
+            seen = np.flatnonzero(self._tally)
+            self._counts = dict(zip(map(self._names.__getitem__, seen.tolist()), self._tally[seen].tolist()))
+        return self._counts
+
+    def __eq__(self, other):
+        if not isinstance(other, EntityFrequencyTable):
+            return NotImplemented
+        return (self.field, self.counts, self.covered_docs) == (other.field, other.counts, other.covered_docs)
+
+    def __repr__(self):
+        return (f"EntityFrequencyTable(field={self.field!r}, counts={self.counts!r}, "
+                f"covered_docs={self.covered_docs!r})")
 
 
 @dataclass
@@ -48,21 +72,15 @@ def entity_frequencies(rs: ResultSet, field: EntityField, index: InvertedIndex) 
     value's count and no per-document maximum is taken.
     """
     codes, sizes, names = index.entity_codes(field, rs.positions)
-    counts = np.bincount(codes, minlength=len(names))
-    seen = np.flatnonzero(counts)
+    tally = np.bincount(codes, minlength=len(names))
     has = sizes > 0
     covered = int(np.count_nonzero(has))
     doc_ef = np.zeros(rs.set_size, dtype=np.int64)
     if len(codes) == covered:  # one code per covered document
-        doc_ef[has] = counts[codes]
-    else:  # each covered document's codes are one segment; its ef is the segment's largest count
-        doc_ef[has] = np.maximum.reduceat(counts[codes], (np.cumsum(sizes) - sizes)[has])
-    return EntityFrequencyTable(
-        field=field,
-        counts=dict(zip(map(names.__getitem__, seen.tolist()), counts[seen].tolist())),
-        covered_docs=covered,
-        doc_ef=doc_ef,
-    )
+        doc_ef[has] = tally[codes]
+    else:  # each code raises its document's ef to the code's count
+        np.maximum.at(doc_ef, np.repeat(np.arange(rs.set_size), sizes), tally[codes])
+    return EntityFrequencyTable(field, None, covered, doc_ef, names=names, tally=tally)
 
 
 def _ranked_entities(table: EntityFrequencyTable) -> list[tuple[str, int]]:

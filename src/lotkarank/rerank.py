@@ -7,7 +7,9 @@ tf-idf order. ``rerank`` is the one path for all of them: it reads each
 document's entity frequency from ``entity_frequencies(...).doc_ef`` and
 keeps the documents the mode keeps. It takes a result set in search
 order (score desc, doc_id asc), so brad/lotka need only one stable sort
-on the frequency; combined sorts on (score desc, doc_id asc). Every
+on the frequency. Combined orders by (score desc, doc_id asc) with two
+stable sorts on integer keys: the positions, then each score's dense rank
+among the distinct scores (``index.descending``). Every
 strategy returns a ResultSet over the same index, so a re-ranked list is
 the same type as the tf-idf set it came from.
 """
@@ -17,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .index import InvertedIndex, ResultSet
+from .index import InvertedIndex, ResultSet, descending
 from .informetrics import EntityField, entity_frequencies
 from .output import whole_file
 
@@ -119,8 +121,10 @@ def rerank(rs: ResultSet, config: RankingConfig, index: InvertedIndex) -> Result
         if not scores.all():  # a tf-idf score is > 0, so a 0.0 is an underflow
             raise _out_of_range(config.k, "underflow to 0")
         # (score desc, doc_id asc): equal scores can come from different tf-idf scores,
-        # so the positions (doc_id order) break ties; the narrowest type sorts fastest
-        order = np.lexsort((positions.astype(np.min_scalar_type(index.corpus_size - 1)), -scores))
+        # so the documents are put in position (doc_id) order first, then sorted stably
+        # by score; both sorts are on narrow integer keys, by radix at 16 bits or fewer
+        by_position = np.argsort(positions.astype(np.min_scalar_type(index.corpus_size - 1)), kind="stable")
+        order = by_position[descending(scores[by_position])]
     else:
         # (ef desc, tfidf desc, doc_id asc): the kept documents are still in search order,
         # so one stable sort on ef desc gives it; at 16 bits or fewer numpy sorts by radix

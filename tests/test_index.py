@@ -15,7 +15,7 @@ import lotkarank
 from helpers import CreatesFileOnUnpickle, random_small_corpus
 from oracle import naive_search, naive_tokenize
 from lotkarank.corpus import DocumentRecord, EntityField
-from lotkarank.index import InvertedIndex, _pack_strings, build_index, search
+from lotkarank.index import InvertedIndex, _pack_strings, build_index, descending, search
 
 
 def _doc(doc_id, title, body="", **kwargs):
@@ -166,6 +166,20 @@ def test_search_breaks_ties_by_doc_id():
     result = search("t", index)
     assert result.doc_ids() == ["d1", "d2"]
     assert [rank for _, _, rank in result.entries] == [1, 2]
+
+
+@pytest.mark.parametrize("values", [
+    np.zeros(0),
+    np.array([0.7]),
+    np.full(9, 2.5),
+    np.random.default_rng(3).integers(0, 5, 1000) * 0.25,  # many ties
+    np.random.default_rng(4).permutation(70_000) / 7.0,  # over 65,536 distinct: no 16-bit key
+    np.array([1.0, 3.0, 1.0, np.nextafter(1.0, 2.0), 3.0, 0.5, np.nextafter(1.0, 0.0), 1.0]),
+], ids=["empty", "one", "all-equal", "many-ties", "70k-distinct", "neighbours"])
+def test_descending_equals_stable_argsort_of_negated_values(values):
+    order = descending(values)
+    assert order.dtype == np.intp
+    assert np.array_equal(order, np.argsort(-values, kind="stable"))
 
 
 def test_search_excludes_zero_scores():

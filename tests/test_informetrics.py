@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import random_small_corpus
-from oracle import naive_entity_counts
+from oracle import naive_doc_ef, naive_entity_counts
 from lotkarank.corpus import DocumentRecord
 from lotkarank.index import ResultSet, build_index, search
 from lotkarank.informetrics import (
@@ -102,6 +102,36 @@ def test_doc_entity_frequency_takes_max_over_authors():
     assert table.counts["B"] == 2
     assert _doc_ef("both", table, rs) == 5
     assert _doc_ef("b1", table, rs) == 2
+
+
+def test_author_doc_ef_matches_oracle_for_0_1_and_many_authors():
+    # "Top" is the most frequent author: first, in the middle and last of a
+    # document's authors; documents with 0, 1, 3 and 4 authors interleave
+    spec = [("d01", []), ("d02", ["Top", "x1", "x2"]), ("d03", ["y1"]), ("d04", ["x1", "Top", "x3"]),
+            ("d05", []), ("d06", ["x2", "x3", "x4", "Top"]), ("d07", ["Top"]), ("d08", ["x1", "x4", "y2"]),
+            ("d09", ["y2"]), ("d10", [])]
+    records = [DocumentRecord(doc_id=doc_id, title=" ".join(["shared"] * (1 + i % 3)), authors=authors)
+               for i, (doc_id, authors) in enumerate(spec)]
+    records.append(DocumentRecord(doc_id="zfill", title="padding"))
+    index = build_index(records)
+    rs = search("shared", index)
+    assert rs.doc_ids()[:3] == ["d03", "d06", "d09"]  # rank order is not doc order
+    table = entity_frequencies(rs, EntityField.AUTHOR, index)
+    counts = naive_entity_counts(records, rs.doc_ids(), "author")
+    by_id = {rec.doc_id: rec for rec in records}
+    expected = [naive_doc_ef(by_id[doc_id], counts, "author") or 0 for doc_id in rs.doc_ids()]
+    assert table.doc_ef.tolist() == expected
+    assert table.covered_docs == 7
+    # the counts dict, read after doc_ef, is the same count
+    assert table.counts == counts and table.counts["Top"] == 4
+
+
+def test_table_built_from_a_dict_equals_the_counted_table():
+    index, rs = _corpus_with([("d1", ["A"], None), ("d2", ["A", "B"], None), ("d3", [], None)])
+    counted = entity_frequencies(rs, EntityField.AUTHOR, index)
+    given = EntityFrequencyTable(field=EntityField.AUTHOR, counts={"A": 2, "B": 1}, covered_docs=2)
+    assert given == counted and repr(given) == repr(counted)
+    assert rank_frequency_series(given) == rank_frequency_series(counted) == [(1, 2), (2, 1)]
 
 
 def test_doc_entity_frequency_unknown_doc_raises():

@@ -3,6 +3,7 @@ import math
 import random
 import warnings
 
+import numpy as np
 import pytest
 
 from helpers import random_small_corpus, ranked_list
@@ -271,6 +272,24 @@ def test_rerank_rejects_a_result_set_out_of_search_order(config):
     # the pass-through itself takes any order
     backwards = rerank(_reordered(rs, [2, 1, 0]), RankingConfig(mode=Mode.TFIDF), index)
     assert backwards.doc_ids() == ["d2", "d1", "d3"]
+
+
+def test_combined_ties_from_different_tfidf_scores_go_by_doc_id():
+    # 8 result docs; with k=1 the factors ef/8 are powers of two, so tf 4 at ef 1,
+    # tf 2 at ef 2 and tf 1 at ef 4 give the same combined score exactly
+    spec = [("d1", 0, ["A"], None), ("d2", 0, ["A"], None), ("d3", 0, ["A"], None),
+            ("d4", 0, ["D"], None), ("d5", 1, ["B"], None), ("d6", 1, ["B"], None),
+            ("d7", 3, ["C"], None), ("d8", 0, ["A"], None)]
+    index, rs = _indexed(spec)
+    # search order: positions fall from tf 4 to tf 2 to tf 1
+    assert rs.doc_ids() == ["d7", "d5", "d6", "d1", "d2", "d3", "d4", "d8"]
+    config = RankingConfig(mode=Mode.COMBINED, field=EntityField.AUTHOR, k=1.0)
+    ranked = rerank(rs, config, index)
+    assert ranked.doc_ids() == ["d1", "d2", "d3", "d5", "d6", "d7", "d8", "d4"]
+    assert len(set(ranked.scores[:7].tolist())) == 1 and ranked.scores[7] < ranked.scores[0]
+    scores = rs.scores * (np.array([1, 2, 2, 4, 4, 4, 1, 4]) / 8)
+    assert np.array_equal(ranked.positions, rs.positions[np.lexsort((rs.positions, -scores))])
+    assert np.array_equal(ranked.scores, np.sort(scores)[::-1])
 
 
 def test_rerank_ordering_invariant_under_tfidf_scaling():
