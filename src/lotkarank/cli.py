@@ -132,13 +132,11 @@ def _cmd_analyze(args) -> int:
     index = InvertedIndex.load(args.index)
     rs = search(args.query, index, query_id="analyze")
     table = entity_frequencies(rs, EntityField(args.field), index)
-    if len(table.counts) < 2:
-        print(
-            f"error: result set has {len(table.counts)} distinct entities, need at least 2",
-            file=sys.stderr,
-        )
+    series = rank_frequency_series(table)
+    if len(series) < 2:
+        print(f"error: result set has {len(series)} distinct entities, need at least 2", file=sys.stderr)
         return 2
-    fit = fit_power_law(rank_frequency_series(table))
+    fit = fit_power_law(series)
     export_series_csv(table, args.out)
     print(f"alpha={fit.alpha:.4f} c={fit.c:.4f} r2={fit.r_squared:.4f}")
     return 0

@@ -400,21 +400,16 @@ def search(query: str, index: InvertedIndex, query_id: str = "q") -> ResultSet:
 
     Ties are broken by doc_id ascending.
     """
-    tokens = tokenize(query)
-    scores = None
-    for token in tokens:
+    scores = np.zeros(index.corpus_size, dtype=np.float64)
+    for token in tokenize(query):
         hit = index.postings(token)
         if hit is None:
             continue
         docs, tfs = hit
-        if scores is None:
-            scores = np.zeros(index.corpus_size, dtype=np.float64)
         idf = math.log(index.corpus_size / len(docs))
         # exactly scores[d] += tf * idf per posting: a term's postings name each document once,
         # and each (unsigned integer) tf converts to float64 exactly before the multiply
         scores[docs] += tfs * idf
-    if scores is None:
-        return ResultSet(query_id=query_id, doc_id_table=index._doc_ids)
     positions = np.flatnonzero(scores > 0.0)
     # score desc with ties in position order, and positions follow doc_id
     # order, so this is (score desc, doc_id asc)

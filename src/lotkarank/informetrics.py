@@ -2,8 +2,9 @@
 
 Counts how many retrieved documents share a metadata entity (journal ISSN
 or author name), turns the counts into a rank-frequency series, and fits
-f(x) = c * x**-alpha by least squares in log-log space. Each document's
-entity frequency comes from the same count (``EntityFrequencyTable.doc_ef``).
+f(x) = c * x**-alpha by least squares in log-log space. The counts are held
+as one tally by entity code (``EntityFrequencyTable.tally``); the ranked
+series and each document's entity frequency (``doc_ef``) come from it.
 """
 import csv
 import io
@@ -13,44 +14,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import EntityField
-from .index import InvertedIndex, ResultSet
+from .index import InvertedIndex, ResultSet, descending
 from .output import whole_file
 
 
+@dataclass(eq=False)
 class EntityFrequencyTable:
-    """Entity value -> number of result-set documents carrying it.
+    """How many result-set documents carry each entity value, as a tally by entity code."""
 
-    ``counts`` is that dict. ``entity_frequencies`` tallies the counts by
-    entity code and builds the dict from the tally on its first read, as
-    re-ranking reads only ``doc_ef``; a table constructed with ``counts``
-    holds that dict from the start.
-    """
-
-    def __init__(self, field: EntityField, counts: dict[str, int] | None, covered_docs: int,
-                 doc_ef: np.ndarray | None = None, *, names=None, tally=None):
-        self.field = field
-        self._counts = counts
-        self._names, self._tally = names, tally  # the name and count of each code
-        self.covered_docs = covered_docs  # result-set documents with at least one value
-        # entity frequency of each result-set entry in rank order, 0 where the field
-        # is missing; set by entity_frequencies
-        self.doc_ef = doc_ef
+    field: EntityField
+    names: list[str]  # the value of each code, in name (code-point) order
+    tally: np.ndarray  # result-set documents carrying each code
+    covered_docs: int  # result-set documents with at least one value
+    doc_ef: np.ndarray  # entity frequency of each entry in rank order, 0 where the field is missing
 
     @property
     def counts(self) -> dict[str, int]:
-        if self._counts is None:
-            seen = np.flatnonzero(self._tally)
-            self._counts = dict(zip(map(self._names.__getitem__, seen.tolist()), self._tally[seen].tolist()))
-        return self._counts
+        """Entity value -> count of each value the result set carries, in code order; built on read."""
+        return dict(self._named(np.flatnonzero(self.tally)))
 
-    def __eq__(self, other):
-        if not isinstance(other, EntityFrequencyTable):
-            return NotImplemented
-        return (self.field, self.counts, self.covered_docs) == (other.field, other.counts, other.covered_docs)
-
-    def __repr__(self):
-        return (f"EntityFrequencyTable(field={self.field!r}, counts={self.counts!r}, "
-                f"covered_docs={self.covered_docs!r})")
+    def _named(self, codes) -> list[tuple[str, int]]:
+        return list(zip(map(self.names.__getitem__, codes.tolist()), self.tally[codes].tolist()))
 
 
 @dataclass
@@ -80,11 +64,13 @@ def entity_frequencies(rs: ResultSet, field: EntityField, index: InvertedIndex) 
         doc_ef[has] = tally[codes]
     else:  # each code raises its document's ef to the code's count
         np.maximum.at(doc_ef, np.repeat(np.arange(rs.set_size), sizes), tally[codes])
-    return EntityFrequencyTable(field, None, covered, doc_ef, names=names, tally=tally)
+    return EntityFrequencyTable(field, names, tally, covered, doc_ef)
 
 
 def _ranked_entities(table: EntityFrequencyTable) -> list[tuple[str, int]]:
-    return sorted(table.counts.items(), key=lambda item: (-item[1], item[0]))
+    """(entity, count) pairs, count desc; equal counts keep code order, which is name order."""
+    seen = np.flatnonzero(table.tally)
+    return table._named(seen[descending(table.tally[seen])])
 
 
 def rank_frequency_series(table: EntityFrequencyTable) -> list[tuple[int, int]]:

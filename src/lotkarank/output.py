@@ -16,7 +16,7 @@ def whole_file(path):
 
     On any exception the temporary file is removed, path is left as it
     was and the exception propagates; an OSError from creating the
-    temporary file names path.
+    temporary file or renaming it onto path names path alone.
     """
     path = os.fspath(path)
     tmp = f"{path}.{os.urandom(4).hex()}.tmp"
@@ -27,7 +27,10 @@ def whole_file(path):
     try:
         with fout:
             yield fout
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
     except BaseException:
         os.unlink(tmp)
         raise

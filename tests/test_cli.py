@@ -1,4 +1,5 @@
 import codecs
+import errno
 import io
 import math
 import os
@@ -431,7 +432,7 @@ class _FullDisk:
 
 
 def _fail_replace(src, dst):
-    raise OSError("No space left on device")
+    raise OSError(errno.ENOSPC, "No space left on device", src, dst)  # as os.replace raises it
 
 
 @pytest.mark.parametrize("fault", ["write", "replace"])
@@ -451,7 +452,10 @@ def test_output_files_are_all_or_nothing(tmp_path, capsys, monkeypatch, command,
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: No space left on device\n"
+    if fault == "write":
+        assert captured.err == "error: No space left on device\n"
+    else:  # names the output, not the temporary file
+        assert captured.err == f"error: [Errno {errno.ENOSPC}] No space left on device: '{outputs[0]}'\n"
     # the first output failed: no output and no temporary file is new, and older ones are unchanged
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
@@ -462,6 +466,16 @@ def test_output_in_missing_directory_names_the_path(tmp_path, capsys, command):
     capsys.readouterr()
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{outputs[0]}'\n"
+
+
+@pytest.mark.parametrize("command", ["rerank", "eval", "analyze"])
+def test_output_onto_a_directory_names_the_path(tmp_path, capsys, command):
+    argv, outputs = _writing_command(tmp_path, command, tmp_path)
+    outputs[0].mkdir()
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: [Errno {errno.EISDIR}] Is a directory: '{outputs[0]}'\n"
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def _overflow_fixture(tmp_path):
@@ -635,9 +649,9 @@ def test_analyze_command_needs_two_entities(tmp_path, capsys):
     ])
     captured = capsys.readouterr()
     assert code == 2
-    assert "2" in captured.err
+    assert captured.err == "error: result set has 1 distinct entities, need at least 2\n"
     assert "alpha=" not in captured.out
-    assert not (tmp_path / "s.csv").exists()
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_analyze_command_flat_series(tmp_path, capsys):
@@ -666,5 +680,8 @@ def test_analyze_command_empty_result_set(tmp_path, capsys):
         "analyze", "--index", str(idx), "--query", "nomatch", "--field", "journal",
         "--out", str(tmp_path / "n"),
     ])
+    captured = capsys.readouterr()
     assert code == 2
-    assert "alpha=" not in capsys.readouterr().out
+    assert captured.err == "error: result set has 0 distinct entities, need at least 2\n"
+    assert "alpha=" not in captured.out
+    assert not list(tmp_path.glob("*.csv"))

@@ -157,8 +157,11 @@ def test_tfidf_score_unknown_doc_raises():
 
 def test_search_no_indexed_tokens_gives_empty_set():
     index = build_index([_doc("d1", "a"), _doc("d2", "b")])
-    assert search("nothing here", index).set_size == 0
-    assert search("", index).set_size == 0
+    for query in ("nothing here", ""):
+        result = search(query, index)
+        assert result.set_size == 0
+        assert result.positions.dtype == np.intp and result.positions.shape == (0,)
+        assert result.scores.dtype == np.float64 and result.scores.shape == (0,)
 
 
 def test_search_breaks_ties_by_doc_id():

@@ -1,3 +1,4 @@
+import csv
 import math
 import random
 
@@ -60,7 +61,7 @@ def test_docs_without_field_contribute_nothing():
     assert table.covered_docs == 1
 
 
-def test_entity_frequencies_match_brute_force_recount():
+def test_entity_frequencies_match_brute_force_recount(tmp_path):
     rng = random.Random(31)
     for _ in range(15):
         records, query = random_small_corpus(rng)
@@ -68,8 +69,16 @@ def test_entity_frequencies_match_brute_force_recount():
         rs = search(query, index)
         for field, name in ((EntityField.JOURNAL, "journal"), (EntityField.AUTHOR, "author")):
             table = entity_frequencies(rs, field, index)
-            assert table.counts == naive_entity_counts(records, rs.doc_ids(), name)
+            counts = naive_entity_counts(records, rs.doc_ids(), name)
+            assert table.counts == counts
             assert table.covered_docs <= rs.set_size
+            # ranked by count desc, then by name
+            ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+            assert rank_frequency_series(table) == [(rank, count) for rank, (_, count) in enumerate(ranked, 1)]
+            linear, _ = export_series_csv(table, tmp_path / name)
+            with open(linear, encoding="utf-8", newline="") as fin:
+                assert list(csv.reader(fin))[1:] == [[str(rank), str(count), entity]
+                                                      for rank, (entity, count) in enumerate(ranked, 1)]
 
 
 def _doc_ef(doc_id, table, rs):
@@ -129,8 +138,8 @@ def test_author_doc_ef_matches_oracle_for_0_1_and_many_authors():
 def test_table_built_from_a_dict_equals_the_counted_table():
     index, rs = _corpus_with([("d1", ["A"], None), ("d2", ["A", "B"], None), ("d3", [], None)])
     counted = entity_frequencies(rs, EntityField.AUTHOR, index)
-    given = EntityFrequencyTable(field=EntityField.AUTHOR, counts={"A": 2, "B": 1}, covered_docs=2)
-    assert given == counted and repr(given) == repr(counted)
+    given = _table({"A": 2, "B": 1})
+    assert given.counts == counted.counts == {"A": 2, "B": 1}
     assert rank_frequency_series(given) == rank_frequency_series(counted) == [(1, 2), (2, 1)]
 
 
@@ -144,7 +153,10 @@ def test_doc_entity_frequency_unknown_doc_raises():
 
 
 def _table(counts):
-    return EntityFrequencyTable(field=EntityField.AUTHOR, counts=counts, covered_docs=0)
+    """A table holding the given counts, its codes numbered in name order."""
+    names = sorted(counts)
+    tally = np.array([counts[name] for name in names], dtype=np.int64)
+    return EntityFrequencyTable(EntityField.AUTHOR, names, tally, 0, np.zeros(0, dtype=np.int64))
 
 
 def test_series_empty_table():
