@@ -1,9 +1,9 @@
 """Inverted index and tf-idf retrieval.
 
-Scores are sums of tf * ln(N / df) over query tokens, accumulated one
-query token at a time over that token's posting list. ``search`` returns
-a ``ResultSet``: the documents' index positions and scores as two arrays
-in rank order. It is the one ranked-list type; a re-rank (rerank.py)
+Scores are sums of tf * ln(N / df) over query tokens, added in query
+token order by one bincount over the tokens' posting lists. ``search``
+returns a ``ResultSet``: the documents' index positions and scores as two
+arrays in rank order. It is the one ranked-list type; a re-rank (rerank.py)
 returns one too, and the (doc_id, score, rank) view is built on access.
 
 The postings are one CSR table: row r of term t (``_term_ids[t]``) spans
@@ -93,8 +93,8 @@ class ResultSet:
     def __eq__(self, other):
         if not isinstance(other, ResultSet):
             return NotImplemented
-        return (self.query_id == other.query_id and self.tag == other.tag
-                and self.dropped == other.dropped and self.entries == other.entries)
+        return (self.query_id == other.query_id and self.tag == other.tag and self.dropped == other.dropped
+                and self.doc_ids() == other.doc_ids() and np.array_equal(self.scores, other.scores))
 
 
 def _pack_strings(strings):
@@ -400,16 +400,18 @@ def search(query: str, index: InvertedIndex, query_id: str = "q") -> ResultSet:
 
     Ties are broken by doc_id ascending.
     """
-    scores = np.zeros(index.corpus_size, dtype=np.float64)
+    docs, weights = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]  # concatenate needs one array
     for token in tokenize(query):
         hit = index.postings(token)
-        if hit is None:
-            continue
-        docs, tfs = hit
-        idf = math.log(index.corpus_size / len(docs))
-        # exactly scores[d] += tf * idf per posting: a term's postings name each document once,
-        # and each (unsigned integer) tf converts to float64 exactly before the multiply
-        scores[docs] += tfs * idf
+        if hit is not None:
+            docs.append(hit[0])
+            # each (unsigned integer) tf converts to float64 exactly before the multiply
+            weights.append(hit[1] * math.log(index.corpus_size / len(hit[0])))
+    # bincount starts each score at 0.0 and adds its document's weights in token order,
+    # the arithmetic of scores[docs] += weights one token at a time; with no postings it
+    # gives int64 zeros, hence the cast
+    scores = np.bincount(np.concatenate(docs), np.concatenate(weights),
+                         minlength=index.corpus_size).astype(np.float64, copy=False)
     positions = np.flatnonzero(scores > 0.0)
     # score desc with ties in position order, and positions follow doc_id
     # order, so this is (score desc, doc_id asc)

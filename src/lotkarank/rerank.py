@@ -6,12 +6,13 @@ mainstream entities, negative k the long tail; k = 0 collapses to the
 tf-idf order. ``rerank`` is the one path for all of them: it reads each
 document's entity frequency from ``entity_frequencies(...).doc_ef`` and
 keeps the documents the mode keeps. It takes a result set in search
-order (score desc, doc_id asc), so brad/lotka need only one stable sort
-on the frequency. Combined orders by (score desc, doc_id asc) with two
-stable sorts on integer keys: the positions, then each score's dense rank
-among the distinct scores (``index.descending``). Every
-strategy returns a ResultSet over the same index, so a re-ranked list is
-the same type as the tf-idf set it came from.
+order (score desc, doc_id asc), so one stable sort on the frequency
+gives every mode (ef desc, tf-idf desc, doc_id asc), field-missing
+documents last; brad/lotka stop there. Combined ranks the scores of the
+distinct (ef, tf-idf) pairs and orders the documents with one sort of
+integer keys, pair rank then position. Every strategy returns a
+ResultSet over the same index, so a re-ranked list is the same type as
+the tf-idf set it came from.
 """
 import math
 from dataclasses import dataclass, replace
@@ -19,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .index import InvertedIndex, ResultSet, descending
+from .index import InvertedIndex, ResultSet
 from .informetrics import EntityField, entity_frequencies
 from .output import whole_file
 
@@ -101,37 +102,44 @@ def rerank(rs: ResultSet, config: RankingConfig, index: InvertedIndex) -> Result
     _check_search_order(rs)
     ef = entity_frequencies(rs, config.field, index).doc_ef
     n = rs.set_size
+    # (ef desc, tfidf desc, doc_id asc): rs is in search order, so one stable sort on ef
+    # desc gives it, by radix at 16 bits or fewer; field-missing documents (ef 0) go last
+    by_ef = np.argsort((n - ef).astype(np.min_scalar_type(n)), kind="stable")
     combined = config.mode is Mode.COMBINED
-    keep = (ef > 0) | (combined and config.missing_policy is MissingPolicy.PASSTHROUGH)
-    positions, tfidf, ef = rs.positions[keep], rs.scores[keep], ef[keep]
-    if combined:
-        # the factor (ef / n) ** k with Python's pow, once per distinct ef (np.power can
-        # differ in the last bit), looked up by ef; field-missing documents (ef 0) keep
-        # 1.0, their tf-idf score
-        table = np.ones(n + 1, dtype=np.float64)
-        distinct = np.flatnonzero(np.bincount(ef)[1:]) + 1
-        try:
-            table[distinct] = [(e / n) ** config.k for e in distinct.tolist()]
-        except OverflowError:  # Python's float pow raises where np.power would give inf
-            raise _out_of_range(config.k, "overflow") from None
-        with np.errstate(over="ignore"):
-            scores = tfidf * table[ef]
-        if np.isinf(scores).any():
-            raise _out_of_range(config.k, "overflow")
-        if not scores.all():  # a tf-idf score is > 0, so a 0.0 is an underflow
-            raise _out_of_range(config.k, "underflow to 0")
-        # (score desc, doc_id asc): equal scores can come from different tf-idf scores,
-        # so the documents are put in position (doc_id) order first, then sorted stably
-        # by score; both sorts are on narrow integer keys, by radix at 16 bits or fewer
-        by_position = np.argsort(positions.astype(np.min_scalar_type(index.corpus_size - 1)), kind="stable")
-        order = by_position[descending(scores[by_position])]
-    else:
-        # (ef desc, tfidf desc, doc_id asc): the kept documents are still in search order,
-        # so one stable sort on ef desc gives it; at 16 bits or fewer numpy sorts by radix
-        order = np.argsort((n - ef).astype(np.min_scalar_type(n)), kind="stable")
-        scores = ef.astype(np.float64)
-    return replace(rs, positions=positions[order], scores=scores[order], tag=config.run_tag,
-                   dropped=n - len(order))
+    if not combined or config.missing_policy is MissingPolicy.DROP:
+        by_ef = by_ef[:np.count_nonzero(ef)]
+    positions, ef = rs.positions[by_ef], ef[by_ef]
+    if not combined:
+        return replace(rs, positions=positions, scores=ef.astype(np.float64), tag=config.run_tag,
+                       dropped=n - len(by_ef))
+    tfidf = rs.scores[by_ef]
+    # the factor (ef / n) ** k with Python's pow, once per distinct ef (np.power can
+    # differ in the last bit), looked up by ef; field-missing documents (ef 0) keep
+    # 1.0, their tf-idf score
+    table = np.ones(n + 1, dtype=np.float64)
+    distinct = np.flatnonzero(np.bincount(ef)[1:]) + 1
+    try:
+        table[distinct] = [(e / n) ** config.k for e in distinct.tolist()]
+    except OverflowError:  # Python's float pow raises where np.power would give inf
+        raise _out_of_range(config.k, "overflow") from None
+    with np.errstate(over="ignore"):
+        scores = tfidf * table[ef]
+    if np.isinf(scores).any():
+        raise _out_of_range(config.k, "overflow")
+    if not scores.all():  # a tf-idf score is > 0, so a 0.0 is an underflow
+        raise _out_of_range(config.k, "underflow to 0")
+    # (score desc, doc_id asc). In ef order the documents of one (ef, tf-idf) pair are
+    # adjacent and share one score, the same multiply; only the pairs' scores are ranked,
+    # and equal scores of different pairs share a rank. One sort of rank << shift | position
+    # then orders the documents; the keys are distinct, so the sort need not be stable.
+    first = np.ones(len(ef), dtype=bool)
+    first[1:] = (ef[1:] != ef[:-1]) | (tfidf[1:] != tfidf[:-1])
+    negated, rank = np.unique(-scores[first], return_inverse=True)
+    shift = (index.corpus_size - 1).bit_length()
+    keys = rank[np.cumsum(first) - 1] << shift | positions
+    keys.sort()
+    return replace(rs, positions=keys & ((1 << shift) - 1), scores=-negated[keys >> shift],
+                   tag=config.run_tag, dropped=n - len(by_ef))
 
 
 def _run_text(ranked: ResultSet, ranks: list[str]) -> str:

@@ -306,6 +306,9 @@ def test_save_load_round_trip(tmp_path):
     result = search(query, loaded)
     assert dataclasses.replace(result, tag="brad") != result
     assert dataclasses.replace(result, dropped=1) != result
+    # the same documents with other scores, or the same scores on other documents
+    assert dataclasses.replace(result, scores=result.scores * 2) != result
+    assert dataclasses.replace(result, positions=result.positions[::-1]) != result
     n = result.set_size
     for k in (0, 1, n, n + 5, None):
         assert result.doc_ids(k) == result.doc_ids()[:k]

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 import warnings
@@ -343,6 +344,21 @@ def test_rerank_matches_brute_force_oracle():
             assert ranked.dropped == expected_dropped
             for (_, got, _), (_, want, _) in zip(ranked.entries, expected):
                 assert abs(got - want) <= 1e-9
+
+
+def test_rerank_of_an_empty_result_set(tmp_path):
+    # every mode, field and missing policy: nothing to rank, nothing dropped, typed arrays
+    index, rs = _indexed([("d1", 0, ["Ada"], "1111-1111"), ("d2", 1, [], None)], query="absent")
+    assert rs.set_size == 0
+    for mode, field, policy in itertools.product(Mode, EntityField, MissingPolicy):
+        if (mode, field) in ((Mode.BRADFORD, EntityField.AUTHOR), (Mode.LOTKA, EntityField.JOURNAL)):
+            continue
+        ranked = rerank(rs, RankingConfig(mode=mode, field=field, k=2.0, missing_policy=policy), index)
+        assert ranked.set_size == 0 and ranked.dropped == 0
+        assert ranked.positions.dtype == np.intp and ranked.scores.dtype == np.float64
+        path = tmp_path / f"{mode.value}-{field.value}-{policy.value}.run"
+        write_run_file([ranked], path)
+        assert path.read_bytes() == b""
 
 
 def test_run_lines_format(tmp_path):

@@ -181,8 +181,8 @@ def test_rerank_matches_naive_oracle_on_ties(case):
 
 def test_rerank_matches_naive_oracle_past_16_bit_keys():
     # more than 65535 documents in the result set and in the index, so neither the
-    # entity-frequency key N - ef nor the position key fits in 16 bits; one large
-    # journal and one prolific author put N - ef on both sides of 65536
+    # entity-frequency key N - ef nor a position fits in 16 bits; one large journal
+    # and one prolific author put N - ef on both sides of 65536
     n = 70_000
     records = [DocumentRecord(doc_id="zfill", title="padding")]
     for i in range(n):
@@ -195,11 +195,16 @@ def test_rerank_matches_naive_oracle_past_16_bit_keys():
     index = build_index(records)
     rs = search("q", index)
     assert rs.set_size == n
-    for config, naive_args in _configs(1.0):
+    k0_combined = [(config, args) for config, args in _configs(0.0) if config.mode is Mode.COMBINED]
+    for config, naive_args in [*_configs(1.0), *k0_combined]:
         ranked = rerank(rs, config, index)
         expected, expected_dropped = naive_rerank(records, rs.entries, *naive_args)
         assert ranked.entries == expected
         assert ranked.dropped == expected_dropped
+        if config.k == 0.0:
+            # every (ef, tf-idf) pair of one tf-idf score has the same combined score, so
+            # the pairs merge and the documents keep their search order
+            assert np.array_equal(ranked.positions, rs.positions[np.isin(rs.positions, ranked.positions)])
 
 
 @settings(derandomize=True, deadline=None)
