@@ -215,20 +215,21 @@ class InvertedIndex:
     def entity_codes(self, field: EntityField, positions):
         """The entity codes of the documents at the given positions.
 
-        Returns (codes, sizes, names): the codes of every document's values
-        for the field, concatenated in positions order; the number of codes
-        of each document (0 when it lacks the field); and the name of each code.
+        Returns (codes, owners, names): the codes of every document's values
+        for the field, concatenated in positions order; each code's document
+        as an index into positions (intp, ascending); and the names by code.
         """
         if field is EntityField.JOURNAL:
             codes = self._journal_codes[positions]
-            has = codes >= 0
-            return codes[has], has.astype(np.intp), self._journal_names
+            owners = np.flatnonzero(codes >= 0)
+            return codes[owners], owners, self._journal_names
         starts = self._author_ptr[positions]
         sizes = self._author_ptr[positions + 1] - starts
+        owners = np.repeat(np.arange(len(positions), dtype=np.intp), sizes)
         # each code's flat index: its document's start plus its offset within the document
         offsets = np.cumsum(sizes) - sizes
-        flat = np.arange(sizes.sum()) + np.repeat(starts - offsets, sizes)
-        return self._author_codes[flat], sizes, self._author_names
+        flat = np.arange(len(owners)) + (starts - offsets)[owners]
+        return self._author_codes[flat], owners, self._author_names
 
     def __eq__(self, other):
         if not isinstance(other, InvertedIndex):

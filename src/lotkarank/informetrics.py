@@ -51,20 +51,14 @@ def entity_frequencies(rs: ResultSet, field: EntityField, index: InvertedIndex) 
     its journal, one per author); documents without the field contribute
     nothing. The table's doc_ef holds each entry's entity frequency: the
     largest count among its values, so a document counts as strongly as its
-    most frequent entity, and 0 when it lacks the field. When every covered
-    document has exactly one value (a journal always does), its ef is that
-    value's count and no per-document maximum is taken.
+    most frequent entity, and 0 when it lacks the field. A covered
+    document's ef is at least 1, so covered_docs counts the nonzero ones.
     """
-    codes, sizes, names = index.entity_codes(field, rs.positions)
+    codes, owners, names = index.entity_codes(field, rs.positions)
     tally = np.bincount(codes, minlength=len(names))
-    has = sizes > 0
-    covered = int(np.count_nonzero(has))
     doc_ef = np.zeros(rs.set_size, dtype=np.int64)
-    if len(codes) == covered:  # one code per covered document
-        doc_ef[has] = tally[codes]
-    else:  # each code raises its document's ef to the code's count
-        np.maximum.at(doc_ef, np.repeat(np.arange(rs.set_size), sizes), tally[codes])
-    return EntityFrequencyTable(field, names, tally, covered, doc_ef)
+    np.maximum.at(doc_ef, owners, tally[codes])  # each code raises its document's ef to its count
+    return EntityFrequencyTable(field, names, tally, int(np.count_nonzero(doc_ef)), doc_ef)
 
 
 def _ranked_entities(table: EntityFrequencyTable) -> list[tuple[str, int]]:

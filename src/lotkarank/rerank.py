@@ -100,14 +100,14 @@ def rerank(rs: ResultSet, config: RankingConfig, index: InvertedIndex) -> Result
     if config.mode is Mode.TFIDF:
         return replace(rs, tag=config.run_tag, dropped=0)
     _check_search_order(rs)
-    ef = entity_frequencies(rs, config.field, index).doc_ef
-    n = rs.set_size
+    table = entity_frequencies(rs, config.field, index)
+    n, ef = rs.set_size, table.doc_ef
     # (ef desc, tfidf desc, doc_id asc): rs is in search order, so one stable sort on ef
     # desc gives it, by radix at 16 bits or fewer; field-missing documents (ef 0) go last
     by_ef = np.argsort((n - ef).astype(np.min_scalar_type(n)), kind="stable")
     combined = config.mode is Mode.COMBINED
     if not combined or config.missing_policy is MissingPolicy.DROP:
-        by_ef = by_ef[:np.count_nonzero(ef)]
+        by_ef = by_ef[:table.covered_docs]
     positions, ef = rs.positions[by_ef], ef[by_ef]
     if not combined:
         return replace(rs, positions=positions, scores=ef.astype(np.float64), tag=config.run_tag,
@@ -144,6 +144,9 @@ def rerank(rs: ResultSet, config: RankingConfig, index: InvertedIndex) -> Result
 
 def _run_text(ranked: ResultSet, ranks: list[str]) -> str:
     """The list's run lines as one string; ranks[i] is " {i + 1}" for at least set_size ranks."""
+    for column, word in (("query id", ranked.query_id), ("tag", ranked.tag)):
+        if word.split() != [word]:  # the six columns are split on whitespace
+            raise ValueError(f"run file {column} must be one word without whitespace, got {word!r}")
     n = ranked.set_size
     scores = np.ascontiguousarray(ranked.scores, dtype=np.float64)
     # each distinct score is formatted once; keyed on its bits, so 0.0 and -0.0 stay apart
@@ -162,7 +165,8 @@ def write_run_file(ranked_lists, path):
 
     Each entry is one standard 6-column line, query_id Q0 doc_id rank score
     tag, with the score to 6 decimals; the lists follow each other in the
-    order given. The file is written whole or not at all (see
+    order given. ValueError, and no file, if a query id or tag is empty or
+    holds whitespace. The file is written whole or not at all (see
     output.whole_file) and exists when this returns.
     """
     ranked_lists = list(ranked_lists)

@@ -300,12 +300,12 @@ def test_eval_command_is_deterministic_across_processes(tmp_path):
     argv = ["eval", "--index", str(idx), "--topics", str(topics), "--qrels", str(qrels),
             "--modes", "tfidf,brad,lotka"]
     assert main(argv + ["--out", str(tmp_path / "one")]) == 0
-    # second run in a fresh interpreter with a different hash seed
+    # a fresh interpreter with a different hash seed indexes the corpus again and evaluates
     env = dict(os.environ, PYTHONHASHSEED="12345")
-    subprocess.run(
-        [sys.executable, "-m", "lotkarank.cli"] + argv + ["--out", str(tmp_path / "two")],
-        check=True, env=env, capture_output=True,
-    )
+    for args in (["index", "--corpus", str(tmp_path / "corpus.jsonl"), "--out", str(tmp_path / "two.idx")],
+                 argv + ["--out", str(tmp_path / "two")]):
+        subprocess.run([sys.executable, "-m", "lotkarank.cli"] + args, check=True, env=env, capture_output=True)
+    assert (tmp_path / "two.idx").read_bytes() == idx.read_bytes()
     for suffix in ("report.csv", "report.txt", "tfidf.run", "brad.run", "lotka.run"):
         assert (tmp_path / f"one.{suffix}").read_bytes() == (tmp_path / f"two.{suffix}").read_bytes()
 

@@ -68,13 +68,16 @@ def test_entity_codes_follow_name_order_and_positions():
     assert index._journal_names == ["1111-111X", "2222-2222"]
     assert index._author_names == ["Ann", "Zoë", "Émile"]  # code point order
     positions = np.array([3, 1, 0, 2])  # d4, d2, d1, d3
-    codes, sizes, names = index.entity_codes(EntityField.JOURNAL, positions)
-    assert (codes.tolist(), sizes.tolist(), names) == ([1, 1, 0], [1, 0, 1, 1], index._journal_names)
-    codes, sizes, names = index.entity_codes(EntityField.AUTHOR, positions)
+    # owners: each code's document as an index into positions; d2 has no journal and no author
+    codes, owners, names = index.entity_codes(EntityField.JOURNAL, positions)
+    assert (codes.tolist(), owners.tolist(), names) == ([1, 1, 0], [0, 2, 3], index._journal_names)
+    assert owners.dtype == np.intp
+    codes, owners, names = index.entity_codes(EntityField.AUTHOR, positions)
     assert [names[c] for c in codes.tolist()] == ["Ann", "Zoë", "Ann", "Émile"]
-    assert sizes.tolist() == [1, 0, 2, 1]
-    codes, sizes, _ = index.entity_codes(EntityField.AUTHOR, positions[:0])
-    assert codes.tolist() == sizes.tolist() == []
+    assert owners.tolist() == [0, 2, 2, 3] and owners.dtype == np.intp
+    for field in EntityField:
+        codes, owners, _ = index.entity_codes(field, positions[:0])
+        assert codes.tolist() == owners.tolist() == [] and owners.dtype == np.intp
 
 
 def test_empty_corpus_rejected():
@@ -534,10 +537,10 @@ def test_load_accepts_members_in_wider_integer_types(tmp_path):
         assert getattr(loaded, name).dtype == getattr(index, name).dtype
     positions = np.array([2, 0, 1])
     for field in EntityField:
-        (codes, sizes, names), (want_codes, want_sizes, want_names) = (
+        (codes, owners, names), (want_codes, want_owners, want_names) = (
             idx.entity_codes(field, positions) for idx in (loaded, index)
         )
-        assert (codes.tolist(), sizes.tolist(), names) == (want_codes.tolist(), want_sizes.tolist(), want_names)
+        assert (codes.tolist(), owners.tolist(), names) == (want_codes.tolist(), want_owners.tolist(), want_names)
 
 
 def test_positions_and_row_offsets_stored_narrow():

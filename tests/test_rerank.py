@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+import re
 import warnings
 
 import numpy as np
@@ -381,3 +382,17 @@ def test_write_run_file_concatenates_topics(tmp_path):
     assert path.read_text(encoding="utf-8") == (
         "t1 Q0 a 1 1.000000 lotka\nt2 Q0 b 1 2.000000 lotka\nt2 Q0 c 2 1.000000 lotka\n"
     )
+
+
+@pytest.mark.parametrize("query_id, tag, named", [
+    ("", "lotka", "''"),
+    ("a b", "lotka", "'a b'"),
+    ("t\n1", "lotka", r"'t\n1'"),
+    ("t1", "combined k1", "'combined k1'"),
+], ids=["empty-id", "id-with-space", "id-with-newline", "tag-with-space"])
+def test_write_run_file_rejects_a_column_that_is_not_one_word(tmp_path, query_id, tag, named):
+    # a split id or tag would give lines of other than 6 columns; nothing is written
+    lists = [ranked_list("t0", ["a"], scores=[1.0], tag="lotka"), ranked_list(query_id, ["b"], scores=[1.0], tag=tag)]
+    with pytest.raises(ValueError, match=f"must be one word without whitespace, got {re.escape(named)}$"):
+        write_run_file(lists, tmp_path / "x.run")
+    assert list(tmp_path.iterdir()) == []
