@@ -7,7 +7,6 @@ import argparse
 import sys
 
 from .corpus import load_corpus
-from .evaluation import load_qrels, load_topics, run_evaluation, write_report
 from .index import InvertedIndex, build_index, search
 from .informetrics import EntityField, entity_frequencies, export_series_csv, fit_power_law, rank_frequency_series
 from .rerank import Mode, MissingPolicy, RankingConfig, rerank, write_run_file
@@ -102,6 +101,8 @@ def _cmd_rerank(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from .evaluation import load_qrels, load_topics, run_evaluation, write_report  # eval alone runs them
+
     mode_names = [name.strip() for name in args.modes.split(",") if name.strip()]
     if not mode_names:
         raise ValueError("--modes must name at least one mode")

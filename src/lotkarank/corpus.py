@@ -5,7 +5,6 @@ id, title, body, authors plus optional issn, journal, publisher, year.
 Every string must encode as UTF-8, so a lone surrogate from a JSON escape
 is rejected.
 """
-import json
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -134,6 +133,8 @@ def parse_corpus(lines) -> list[DocumentRecord]:
     Records come back in input order. Raises CorpusError naming the line
     number for malformed lines and the id for duplicate doc_ids.
     """
+    import json  # only index reads a corpus, so no other command loads the module
+
     records = []
     seen = set()
     for lineno, line in enumerate(lines, start=1):

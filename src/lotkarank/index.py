@@ -274,8 +274,12 @@ class InvertedIndex:
                 file_size = fin.seek(0, 2)
                 fin.seek(0)
                 try:
+                    members = {}
                     with zipfile.ZipFile(fin) as archive:
-                        members = dict(_read_member(archive, info, file_size) for info in archive.infolist())
+                        for info in archive.infolist():
+                            name, values = _read_member(archive, info, file_size)
+                            _require(name not in members, f"duplicate member {name}")
+                            members[name] = values
                 except _Invalid:
                     raise
                 except Exception as exc:  # corrupt zip or npy bytes can raise many exception types

@@ -6,8 +6,6 @@ f(x) = c * x**-alpha by least squares in log-log space. The counts are held
 as one tally by entity code (``EntityFrequencyTable.tally``); the ranked
 series and each document's entity frequency (``doc_ef``) come from it.
 """
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -112,6 +110,9 @@ def export_series_csv(table: EntityFrequencyTable, out_prefix) -> tuple[str, str
     plotting. Each file is written all or nothing (see output.whole_file).
     Returns both paths.
     """
+    import csv  # analyze is the one command that writes CSV series
+    import io
+
     linear_path = f"{out_prefix}.csv"
     loglog_path = f"{out_prefix}.loglog.csv"
     ranked = _ranked_entities(table)

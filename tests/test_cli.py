@@ -6,6 +6,7 @@ import os
 import pickle
 import subprocess
 import sys
+import zipfile
 
 import numpy as np
 import pytest
@@ -229,6 +230,30 @@ def test_commands_reject_foreign_index(tmp_path, capsys, kind):
     assert sorted(path.name for path in tmp_path.iterdir()) == ["foreign.idx"]  # no marker, no output
 
 
+def test_commands_reject_a_duplicated_index_member(tmp_path, capsys):
+    # a second, all-ones tfs member appended to a good index: loaded, it would win and
+    # give other scores without a word
+    idx = _indexed_tiny(tmp_path)
+    with zipfile.ZipFile(idx) as archive:
+        tfs = np.load(io.BytesIO(archive.read("tfs.npy")))
+    buffer = io.BytesIO()
+    np.save(buffer, np.ones_like(tfs))
+    with pytest.warns(UserWarning, match="Duplicate name"), zipfile.ZipFile(idx, "a") as archive:
+        archive.writestr("tfs.npy", buffer.getvalue())
+    for argv in (
+        ["search", "--query", "quake", "--top", "2"],
+        ["rerank", "--query", "quake", "--mode", "tfidf", "--out", str(tmp_path / "r.run")],
+        ["analyze", "--query", "quake", "--field", "author", "--out", str(tmp_path / "a")],
+    ):
+        capsys.readouterr()
+        assert main([argv[0], "--index", str(idx), *argv[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {idx} is not a valid index: duplicate member tfs; "
+                                "rebuild it with `lotkarank index`\n")
+    assert not (tmp_path / "r.run").exists()
+
+
 def test_rerank_command_writes_run_file(tmp_path, capsys):
     idx = _indexed_tiny(tmp_path)
     out = tmp_path / "brad.run"
@@ -308,6 +333,90 @@ def test_eval_command_is_deterministic_across_processes(tmp_path):
     assert (tmp_path / "two.idx").read_bytes() == idx.read_bytes()
     for suffix in ("report.csv", "report.txt", "tfidf.run", "brad.run", "lotka.run"):
         assert (tmp_path / f"one.{suffix}").read_bytes() == (tmp_path / f"two.{suffix}").read_bytes()
+
+
+def _fresh_python(code, *args):
+    """Run code in a new interpreter that imports lotkarank from this checkout; returns its stdout."""
+    src = os.path.dirname(os.path.dirname(output.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True, encoding="utf-8", timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+# runs one command, then prints which of json, csv and lotkarank.evaluation the interpreter has loaded
+_LOADED_AFTER = """
+import sys
+from lotkarank.cli import main
+code = main(sys.argv[1:])
+print(" ".join(name for name in ("json", "csv", "lotkarank.evaluation") if name in sys.modules))
+sys.exit(code)
+"""
+
+
+def test_each_command_imports_only_what_it_runs(tmp_path):
+    idx, topics, qrels = _eval_fixture(tmp_path)
+    commands = {
+        "index": ["--corpus", tmp_path / "corpus.jsonl", "--out", tmp_path / "again.idx"],
+        "search": ["--index", idx, "--query", "quake"],
+        "rerank": ["--index", idx, "--query", "quake", "--mode", "combined", "--field", "author",
+                   "--out", tmp_path / "r.run"],
+        "analyze": ["--index", idx, "--query", "quake", "--field", "author", "--out", tmp_path / "a"],
+        "eval": ["--index", idx, "--topics", topics, "--qrels", qrels, "--modes", "tfidf,brad,lotka,combined",
+                 "--field", "journal", "--out", tmp_path / "exp"],
+    }
+    loaded = {name: set(_fresh_python(_LOADED_AFTER, name, *args).splitlines()[-1].split())
+              for name, args in commands.items()}
+    assert loaded == {
+        "index": {"json"},
+        "search": set(),
+        "rerank": set(),
+        "analyze": {"csv"},
+        "eval": {"csv", "lotkarank.evaluation"},
+    }
+
+
+# checks the package's public names after importing sys.argv[1] first
+_PUBLIC_NAMES = """
+import importlib, sys, types
+importlib.import_module(sys.argv[1])
+import lotkarank
+DEFINED_IN = {
+    "corpus": ["CorpusError", "DocumentRecord", "EntityField", "load_corpus", "parse_corpus", "tokenize"],
+    "index": ["InvertedIndex", "ResultSet", "build_index", "search"],
+    "informetrics": ["EntityFrequencyTable", "PowerLawFit", "entity_frequencies", "fit_power_law",
+                     "rank_frequency_series"],
+    "rerank": ["MissingPolicy", "Mode", "RankingConfig", "rerank"],
+    "evaluation": ["EvalReport", "QrelSet", "Topic", "load_qrels", "load_topics", "parse_qrels",
+                   "parse_topics", "run_evaluation"],
+}
+names = [name for module in DEFINED_IN.values() for name in module]
+assert ("lotkarank.evaluation" in sys.modules) == (sys.argv[1] == "lotkarank.evaluation")
+assert sorted(lotkarank.__all__) == sorted(names)
+assert set(dir(lotkarank)) >= set(names)
+for module, module_names in DEFINED_IN.items():
+    defining = importlib.import_module(f"lotkarank.{module}")
+    for name in module_names:
+        assert getattr(lotkarank, name) is getattr(defining, name), name
+assert not isinstance(lotkarank.rerank, types.ModuleType)
+assert lotkarank.rerank is sys.modules["lotkarank.rerank"].rerank
+star = {}
+exec("from lotkarank import *", star)
+assert all(star[name] is getattr(lotkarank, name) for name in names)
+try:
+    lotkarank.nope
+except AttributeError as exc:
+    assert "'nope'" in str(exc), exc
+else:
+    raise AssertionError("lotkarank.nope resolved")
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("first", ["lotkarank", "lotkarank.cli", "lotkarank.evaluation", "lotkarank.rerank"])
+def test_public_names_are_the_defining_modules_objects(first):
+    assert _fresh_python(_PUBLIC_NAMES, first) == "ok\n"
 
 
 def test_eval_command_combined_k0_matches_tfidf_on_field_bearing_docs(tmp_path):

@@ -522,6 +522,19 @@ def test_load_rejects_compressed_member(tmp_path):
                                "rebuild it with `lotkarank index`")
 
 
+def test_load_rejects_a_duplicated_member(tmp_path):
+    # a zip may hold two entries of one name; loading must not let the last one win
+    index = _layout_index()
+    path = tmp_path / "dup.idx"
+    index.save(path)
+    with pytest.warns(UserWarning, match="Duplicate name"), zipfile.ZipFile(path, "a") as archive:
+        archive.writestr("tfs.npy", _npy(np.ones_like(index._tfs)))
+    with pytest.raises(ValueError) as info:
+        InvertedIndex.load(path)
+    assert str(info.value) == (f"{path} is not a valid index: duplicate member tfs; "
+                               "rebuild it with `lotkarank index`")
+
+
 def test_load_accepts_members_in_wider_integer_types(tmp_path):
     index = _layout_index()
     texts = ("format", "terms", "doc_ids", "journal_names", "author_names")
