@@ -13,7 +13,7 @@ import numpy as np
 
 from .corpus import open_text
 from .index import InvertedIndex, ResultSet, search
-from .output import whole_file
+from .output import write_files
 from .rerank import RankingConfig, rerank
 
 PRECISION_CUTOFFS = (5, 10, 20, 30, 100)
@@ -258,7 +258,6 @@ def report_table(report: EvalReport) -> str:
 
 
 def write_report(report: EvalReport, csv_path, table_path):
-    """Write report_csv to csv_path, then report_table to table_path, each all or nothing."""
-    for path, text in ((csv_path, report_csv(report)), (table_path, report_table(report))):
-        with whole_file(path) as fout:
-            fout.write(text.encode("utf-8"))
+    """Write report_csv to csv_path and report_table to table_path, both or neither (see output.write_files)."""
+    write_files([(csv_path, report_csv(report).encode("utf-8")),
+                 (table_path, report_table(report).encode("utf-8"))])

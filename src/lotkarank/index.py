@@ -37,6 +37,7 @@ one), and the integer arrays. ``InvertedIndex.load`` reads only 1-d
 integer ``.npy`` members, each once its header's size fits in the
 member's bytes, and checks every member before use.
 """
+import io
 import math
 import zipfile
 from array import array
@@ -48,7 +49,7 @@ from operator import lt
 import numpy as np
 
 from .corpus import EntityField, tokenize
-from .output import whole_file
+from .output import write_files
 
 # layout of a saved index; change it whenever the members or their meaning change
 _FORMAT = "lotkarank-index/4"
@@ -250,12 +251,14 @@ class InvertedIndex:
         return members
 
     def save(self, path):
-        """Write the index to path, all or nothing (see output.whole_file)."""
-        with whole_file(path) as fout, zipfile.ZipFile(fout, "w", zipfile.ZIP_STORED) as archive:
+        """Write the index to path, all or nothing (see output.write_files)."""
+        buffer = io.BytesIO()
+        with zipfile.ZipFile(buffer, "w", zipfile.ZIP_STORED) as archive:
             for name, array in self._members().items():
                 info = zipfile.ZipInfo(f"{name}.npy", date_time=_ZIP_DATE)
                 with archive.open(info, "w") as member:
                     np.lib.format.write_array(member, array, allow_pickle=False)
+        write_files([(path, buffer.getvalue())])
 
     @classmethod
     def load(cls, path) -> "InvertedIndex":

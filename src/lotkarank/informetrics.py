@@ -13,7 +13,7 @@ import numpy as np
 
 from .corpus import EntityField
 from .index import InvertedIndex, ResultSet, descending
-from .output import whole_file
+from .output import write_files
 
 
 @dataclass(eq=False)
@@ -107,7 +107,7 @@ def export_series_csv(table: EntityFrequencyTable, out_prefix) -> tuple[str, str
     """Write <prefix>.csv (rank,frequency,entity) and <prefix>.loglog.csv.
 
     The log-log companion uses natural logs and is ready for straight-line
-    plotting. Each file is written all or nothing (see output.whole_file).
+    plotting. Both files are written or neither (see output.write_files).
     Returns both paths.
     """
     import csv  # analyze is the one command that writes CSV series
@@ -115,15 +115,14 @@ def export_series_csv(table: EntityFrequencyTable, out_prefix) -> tuple[str, str
 
     linear_path = f"{out_prefix}.csv"
     loglog_path = f"{out_prefix}.loglog.csv"
-    ranked = _ranked_entities(table)
-    with whole_file(linear_path) as raw, io.TextIOWrapper(raw, encoding="utf-8", newline="") as fout:
-        writer = csv.writer(fout, lineterminator="\n")
-        writer.writerow(["rank", "frequency", "entity"])
-        for rank, (entity, count) in enumerate(ranked, start=1):
-            writer.writerow([rank, count, entity])
-    with whole_file(loglog_path) as raw, io.TextIOWrapper(raw, encoding="utf-8", newline="") as fout:
-        writer = csv.writer(fout, lineterminator="\n")
-        writer.writerow(["log_rank", "log_frequency"])
-        for rank, (_, count) in enumerate(ranked, start=1):
-            writer.writerow([math.log(rank), math.log(count)])
+    linear, loglog = io.StringIO(), io.StringIO()
+    linear_writer = csv.writer(linear, lineterminator="\n")
+    loglog_writer = csv.writer(loglog, lineterminator="\n")
+    linear_writer.writerow(["rank", "frequency", "entity"])
+    loglog_writer.writerow(["log_rank", "log_frequency"])
+    for rank, (entity, count) in enumerate(_ranked_entities(table), start=1):
+        linear_writer.writerow([rank, count, entity])
+        loglog_writer.writerow([math.log(rank), math.log(count)])
+    write_files([(linear_path, linear.getvalue().encode("utf-8")),
+                 (loglog_path, loglog.getvalue().encode("utf-8"))])
     return linear_path, loglog_path

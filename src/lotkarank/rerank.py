@@ -22,7 +22,7 @@ import numpy as np
 
 from .index import InvertedIndex, ResultSet
 from .informetrics import EntityField, entity_frequencies
-from .output import whole_file
+from .output import write_files
 
 
 class Mode(Enum):
@@ -167,11 +167,10 @@ def write_run_file(ranked_lists, path):
     tag, with the score to 6 decimals; the lists follow each other in the
     order given. ValueError, and no file, if a query id or tag is empty or
     holds whitespace. The file is written whole or not at all (see
-    output.whole_file) and exists when this returns.
+    output.write_files) and exists when this returns.
     """
     ranked_lists = list(ranked_lists)
     longest = max((ranked.set_size for ranked in ranked_lists), default=0)
     ranks = [f" {rank}" for rank in range(1, longest + 1)]
     text = "".join(_run_text(ranked, ranks) for ranked in ranked_lists)
-    with whole_file(path) as fout:
-        fout.write(text.encode("utf-8"))
+    write_files([(path, text.encode("utf-8"))])

@@ -1,9 +1,11 @@
 import codecs
 import errno
 import io
+import itertools
 import math
 import os
 import pickle
+import stat
 import subprocess
 import sys
 import zipfile
@@ -509,6 +511,9 @@ def test_eval_command_aborts_before_writing_on_bad_input(tmp_path, capsys):
 def _writing_command(tmp_path, command, out_dir):
     """The argv of a command that writes files into out_dir, and those files in write order."""
     idx, topics, qrels = _eval_fixture(tmp_path)
+    if command == "index":
+        out = out_dir / "new.idx"
+        return ["index", "--corpus", str(tmp_path / "corpus.jsonl"), "--out", str(out)], [out]
     if command == "rerank":
         out = out_dir / "q.run"
         return ["rerank", "--index", str(idx), "--query", "quake", "--mode", "brad", "--out", str(out)], [out]
@@ -518,6 +523,15 @@ def _writing_command(tmp_path, command, out_dir):
                 [out_dir / f"exp.{suffix}" for suffix in ("report.csv", "report.txt", "tfidf.run", "brad.run")])
     return (["analyze", "--index", str(idx), "--query", "quake", "--field", "journal", "--out", str(out_dir / "s")],
             [out_dir / "s.csv", out_dir / "s.loglog.csv"])
+
+
+# how many files each write_files call of a command commits, in write order: eval
+# commits its two reports together, then each run file on its own
+_COMMIT_SIZES = {"rerank": [1], "eval": [2, 1, 1], "analyze": [2]}
+
+
+def _contents(directory):
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
 
 
 class _FullDisk:
@@ -549,24 +563,53 @@ def _fail_replace(src, dst):
 @pytest.mark.parametrize("command", ["rerank", "eval", "analyze"])
 def test_output_files_are_all_or_nothing(tmp_path, capsys, monkeypatch, command, existing, fault):
     argv, outputs = _writing_command(tmp_path, command, tmp_path)
-    if existing:
-        for path in outputs:
+    assert main(argv) == 0
+    fresh = [path.read_bytes() for path in outputs]
+    for path in outputs:
+        if existing:
             path.write_bytes(b"an older output\n")
-    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        else:
+            path.unlink()
+    before = _contents(tmp_path)
+    real_replace = os.replace
+    ends = list(itertools.accumulate(_COMMIT_SIZES[command]))
+    for k in range(1, len(outputs) + 1):  # fail the k-th temporary-file write, or the k-th rename
+        calls = itertools.count(1)
+        if fault == "write":
+            monkeypatch.setattr(output, "open", lambda path, mode: _FullDisk(open(path, mode))
+                                if next(calls) == k else open(path, mode), raising=False)
+        else:
+            monkeypatch.setattr(os, "replace", lambda src, dst: (_fail_replace if next(calls) == k
+                                                                 else real_replace)(src, dst))
+        capsys.readouterr()
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        if fault == "write":
+            assert captured.err == "error: No space left on device\n"
+        else:  # names the output, not the temporary file
+            assert captured.err == f"error: [Errno {errno.ENOSPC}] No space left on device: '{outputs[k - 1]}'\n"
+        # the files of earlier write_files calls are committed; a failed write commits none of its
+        # own call, a failed rename those before it. No temporary file is left, older ones unchanged
+        committed = max([end for end in ends if end < k], default=0) if fault == "write" else k - 1
+        assert _contents(tmp_path) == {**before, **{path.name: data for path, data in zip(outputs[:committed], fresh)}}
+        for path in outputs[:committed]:
+            path.unlink()
+        for name, data in before.items():
+            (tmp_path / name).write_bytes(data)
+
+
+@pytest.mark.parametrize("command", ["index", "rerank", "eval", "analyze"])
+def test_output_onto_a_fifo_is_refused(tmp_path, capsys, command):
+    argv, outputs = _writing_command(tmp_path, command, tmp_path)
+    fifo = outputs[:2][-1]  # the last file of the first write_files call
+    os.mkfifo(fifo)
+    before = sorted(tmp_path.iterdir())
     capsys.readouterr()
-    if fault == "write":
-        monkeypatch.setattr(output, "open", lambda path, mode: _FullDisk(open(path, mode)), raising=False)
-    else:
-        monkeypatch.setattr(os, "replace", _fail_replace)
     assert main(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    if fault == "write":
-        assert captured.err == "error: No space left on device\n"
-    else:  # names the output, not the temporary file
-        assert captured.err == f"error: [Errno {errno.ENOSPC}] No space left on device: '{outputs[0]}'\n"
-    # the first output failed: no output and no temporary file is new, and older ones are unchanged
-    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+    assert capsys.readouterr() == ("", f"error: {fifo} exists and is not a regular file\n")
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert sorted(tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize("command", ["rerank", "eval", "analyze"])
@@ -577,7 +620,7 @@ def test_output_in_missing_directory_names_the_path(tmp_path, capsys, command):
     assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{outputs[0]}'\n"
 
 
-@pytest.mark.parametrize("command", ["rerank", "eval", "analyze"])
+@pytest.mark.parametrize("command", ["index", "rerank", "eval", "analyze"])
 def test_output_onto_a_directory_names_the_path(tmp_path, capsys, command):
     argv, outputs = _writing_command(tmp_path, command, tmp_path)
     outputs[0].mkdir()
