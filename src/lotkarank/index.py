@@ -258,7 +258,7 @@ class InvertedIndex:
                 info = zipfile.ZipInfo(f"{name}.npy", date_time=_ZIP_DATE)
                 with archive.open(info, "w") as member:
                     np.lib.format.write_array(member, array, allow_pickle=False)
-        write_files([(path, buffer.getvalue())])
+        write_files([(path, buffer.getbuffer())])  # the zip's bytes, not a copy of them
 
     @classmethod
     def load(cls, path) -> "InvertedIndex":

@@ -11,7 +11,7 @@ import os
 
 
 def write_files(files):
-    """Write each (path, bytes) pair: every temporary file first, then every rename.
+    """Write each (path, bytes-like) pair: every temporary file first, then every rename.
 
     A path that exists must be a regular file, or a symlink to one (which is
     replaced, not written through): IsADirectoryError for a directory and
