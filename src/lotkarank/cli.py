@@ -4,6 +4,7 @@ Subcommands: index, search, rerank, eval, analyze. All outputs are
 deterministic; the exit code is 0 iff every requested output was written.
 """
 import argparse
+import os
 import sys
 
 from .corpus import load_corpus
@@ -69,7 +70,21 @@ def _config_for(mode_name: str, field_name, k: float, missing: str = "drop") -> 
     )
 
 
+def _refuse_inputs_as_outputs(outputs, inputs):
+    """ValueError if an output path is one of the command's input files, before anything is written.
+
+    inputs maps each input option to its path. os.path.samefile follows
+    links, so an output that links to an input, or is a hard link of it,
+    counts as that input.
+    """
+    for out in outputs:
+        for option, path in inputs.items():
+            if os.path.exists(out) and os.path.exists(path) and os.path.samefile(out, path):
+                raise ValueError(f"{out} is the {option} file; choose another output path")
+
+
 def _cmd_index(args) -> int:
+    _refuse_inputs_as_outputs([args.out], {"--corpus": args.corpus})
     docs = load_corpus(args.corpus)
     index = build_index(docs)
     index.save(args.out)
@@ -91,6 +106,7 @@ def _cmd_search(args) -> int:
 def _cmd_rerank(args) -> int:
     if args.query_id.split() != [args.query_id]:  # run files split their columns on whitespace
         raise ValueError(f"--query-id must be one word without whitespace, got {args.query_id!r}")
+    _refuse_inputs_as_outputs([args.out], {"--index": args.index})
     index = InvertedIndex.load(args.index)
     config = _config_for(args.mode, args.field, args.k, args.missing)
     rs = search(args.query, index, query_id=args.query_id)
@@ -117,19 +133,23 @@ def _cmd_eval(args) -> int:
         _config_for(name, args.field if name == Mode.COMBINED.value else None, args.k)
         for name in mode_names
     ]
+    reports = [f"{args.out}.report.csv", f"{args.out}.report.txt"]
+    _refuse_inputs_as_outputs(reports + [f"{args.out}.{config.run_tag}.run" for config in configs],
+                              {"--index": args.index, "--topics": args.topics, "--qrels": args.qrels})
     index = InvertedIndex.load(args.index)
     topics = load_topics(args.topics)
     qrels = load_qrels(args.qrels)
 
     report = run_evaluation(index, topics, qrels, configs)
-    write_report(report, f"{args.out}.report.csv", f"{args.out}.report.txt")
+    write_report(report, *reports)
     for run in report.runs:
         write_run_file(run.ranked, f"{args.out}.{run.tag}.run")
-    print(f"topics={len(topics)} runs={len(configs)} report={args.out}.report.csv")
+    print(f"topics={len(topics)} runs={len(configs)} report={reports[0]}")
     return 0
 
 
 def _cmd_analyze(args) -> int:
+    _refuse_inputs_as_outputs([f"{args.out}.csv", f"{args.out}.loglog.csv"], {"--index": args.index})
     index = InvertedIndex.load(args.index)
     rs = search(args.query, index, query_id="analyze")
     table = entity_frequencies(rs, EntityField(args.field), index)

@@ -24,18 +24,25 @@ The index holds no document records: a document is its position and its
 doc_id (``_doc_ids``, sorted), and ``InvertedIndex.position`` maps one to
 the other.
 
-``InvertedIndex(...)`` takes these tables and is the one place that sets
-them and stores each integer table in its type; ``build_index`` computes
-the tables from records and ``InvertedIndex.load`` checks them from a file.
+``InvertedIndex(...)`` takes these tables, with row lengths in place of
+the two offset tables, and is the one place that sets them and stores
+each integer table in its type; ``build_index`` computes the tables from
+records and ``InvertedIndex.load`` checks them from a file.
 
-A saved index is an uncompressed zip of ``.npy`` members, as ``np.savez``
-writes, but with a fixed timestamp so that equal indexes give equal bytes.
-It holds arrays only: the layout tag (``format``, UTF-8 bytes), each
-string list (terms in row order, doc ids, journal names, author names) as
-UTF-8 text with every string ended by a line break (no saved string holds
-one), and the integer arrays. ``InvertedIndex.load`` reads only 1-d
-integer ``.npy`` members, each once its header's size fits in the
-member's bytes, and checks every member before use.
+A saved index (layout ``lotkarank-index/5``) is an uncompressed zip of
+``.npy`` members, as ``np.savez`` writes, but with a fixed timestamp so
+that equal indexes give equal bytes. It holds arrays only: the layout tag
+(``format``, UTF-8 bytes), each string list (terms in row order, doc ids,
+journal names, author names) as UTF-8 text with every string ended by a
+line break (no saved string holds one), and six integer arrays, each in
+the narrowest type that holds its values: ``df`` (each row's length),
+``docs``, ``tfs``, ``author_counts`` (authors per document) and
+``author_codes`` unsigned, ``journal_codes`` signed (it holds -1). The
+offsets are not saved: load rebuilds them from the lengths with one
+cumulative sum each. ``InvertedIndex.load`` reads only 1-d integer
+``.npy`` members whose header's size is exactly the member's data, and
+checks every member before use; a file in an earlier layout (``/4`` and
+before) is refused and must be rebuilt.
 """
 import io
 import math
@@ -52,9 +59,9 @@ from .corpus import EntityField, tokenize
 from .output import write_files
 
 # layout of a saved index; change it whenever the members or their meaning change
-_FORMAT = "lotkarank-index/4"
+_FORMAT = "lotkarank-index/5"
 _STRING_LISTS = ("terms", "doc_ids", "journal_names", "author_names")
-_ARRAYS = ("ptr", "docs", "tfs", "journal_codes", "author_ptr", "author_codes")
+_ARRAYS = ("df", "docs", "tfs", "journal_codes", "author_counts", "author_codes")
 _MEMBERS = ("format", *_STRING_LISTS, *_ARRAYS)
 _ZIP_DATE = (1980, 1, 1, 0, 0, 0)  # the earliest date a zip header holds: no build time in the file
 _REBUILD = "rebuild it with `lotkarank index`"
@@ -121,13 +128,6 @@ def _within(values, low, high) -> bool:
     return len(values) == 0 or (int(values.min()) >= low and int(values.max()) <= high)
 
 
-def _splits(ptr, end) -> bool:
-    """Starts at 0, never decreases, and ends at end."""
-    if len(ptr) == 0 or ptr[0] != 0 or ptr[-1] != end:
-        return False
-    return bool(np.all(ptr[1:] >= ptr[:-1]))
-
-
 def _strictly_sorted(strings) -> bool:
     return all(map(lt, strings, strings[1:]))
 
@@ -142,12 +142,13 @@ def _require(ok, what):
 
 
 def _read_member(archive, info, file_size):
-    """The member's name and 1-d integer array, read once its .npy header fits in its bytes.
+    """The member's name and 1-d integer array, read once its .npy header matches its bytes.
 
     numpy would allocate an array of whatever size a header claims before
-    reading any data; here the claim must fit in the member's bytes and the
-    member in the file before anything is allocated, and only integer
-    arrays are read, so nothing is unpickled.
+    reading any data; here the claim must be exactly the member's data and
+    the member must lie in the file before anything is allocated, and only
+    integer arrays are read, so nothing is unpickled. The member is read to
+    its end, so zipfile checks its CRC.
     """
     name = info.filename.removesuffix(".npy")
     # a stored member's bytes lie in the file; a compressed one could claim any size
@@ -160,7 +161,8 @@ def _read_member(archive, info, file_size):
         shape, _, dtype = np.lib.format.read_array_header_1_0(member)
         _require(len(shape) == 1 and dtype.kind in "iu", f"{name} is not a 1-d integer array")
         claimed, holds = shape[0] * dtype.itemsize, info.file_size - member.tell()
-        _require(claimed <= holds, f"{name} claims {claimed} bytes of data but holds {holds}")
+        # save writes no bytes after the data, and zipfile checks a CRC only at a member's end
+        _require(claimed == holds, f"{name} claims {claimed} bytes of data but holds {holds}")
         return name, np.frombuffer(member.read(claimed), dtype=dtype, count=shape[0])
 
 
@@ -178,24 +180,28 @@ class InvertedIndex:
     sorted by doc_id so the index is identical for any input permutation.
     """
 
-    def __init__(self, doc_ids, term_ids, ptr, docs, tfs, journal_names, journal_codes,
-                 author_names, author_ptr, author_codes):
+    def __init__(self, doc_ids, term_ids, df, docs, tfs, journal_names, journal_codes,
+                 author_names, author_counts, author_codes):
         """The index over consistent tables, as build_index makes and load checks them.
 
-        doc_ids is sorted and term_ids maps each term to its row. The integer
-        tables may come in any integer type; each is stored in the type the
-        module docstring names.
+        doc_ids is sorted and term_ids maps each term to its row. df holds
+        each row's length and author_counts each document's number of
+        authors; the offsets are their cumulative sums. The integer tables
+        may come in any integer type; each is stored in the type the module
+        docstring names.
         """
         self.corpus_size = len(doc_ids)
         self._doc_ids = doc_ids
         self._term_ids = term_ids
-        self._ptr = _narrow(ptr, len(docs))
+        self._ptr = np.zeros(len(df) + 1, dtype=np.min_scalar_type(len(docs)))
+        np.cumsum(df, dtype=self._ptr.dtype, out=self._ptr[1:])
         self._docs = _narrow(docs, self.corpus_size - 1)
         self._tfs = _narrow(tfs, tfs.max(initial=0))  # initial=0: an index may have no postings
         self._journal_names = journal_names
         self._journal_codes = journal_codes.astype(np.int32, copy=False)
         self._author_names = author_names
-        self._author_ptr = author_ptr.astype(np.int64, copy=False)
+        self._author_ptr = np.zeros(len(author_counts) + 1, dtype=np.int64)
+        np.cumsum(author_counts, dtype=np.int64, out=self._author_ptr[1:])
         self._author_codes = author_codes.astype(np.int32, copy=False)
 
     def postings(self, term: str):
@@ -246,7 +252,14 @@ class InvertedIndex:
         members = {"format": np.frombuffer(_FORMAT.encode("utf-8"), dtype=np.uint8)}
         strings = (list(self._term_ids), self._doc_ids, self._journal_names, self._author_names)
         members.update(zip(_STRING_LISTS, map(_pack_strings, strings)))
-        arrays = (self._ptr, self._docs, self._tfs, self._journal_codes, self._author_ptr, self._author_codes)
+        df, author_counts = np.diff(self._ptr), np.diff(self._author_ptr)
+        arrays = (
+            _narrow(df, df.max(initial=0)), self._docs, self._tfs,
+            # the narrowest signed type that holds -1 and the last code
+            self._journal_codes.astype(np.min_scalar_type(-max(len(self._journal_names), 1))),
+            _narrow(author_counts, author_counts.max(initial=0)),
+            _narrow(self._author_codes, max(len(self._author_names) - 1, 0)),
+        )
         members.update(zip(_ARRAYS, arrays))
         return members
 
@@ -293,7 +306,10 @@ class InvertedIndex:
 
     @classmethod
     def _from_members(cls, members) -> "InvertedIndex":
-        """Check the loaded members against the layout, then build the index from them."""
+        """Check the loaded members against the layout and build the index from them.
+
+        The rows' doc order is checked last, on the offsets the index rebuilds from df.
+        """
         tag = members.get("format")
         _require(isinstance(tag, np.ndarray) and tag.ndim == 1 and tag.dtype == np.uint8,
                  "no layout tag (a uint8 member named format)")
@@ -325,27 +341,31 @@ class InvertedIndex:
         term_ids = dict(zip(terms, range(len(terms))))
         _require(len(term_ids) == len(terms), "terms are not unique")
 
-        ptr, docs, tfs = members["ptr"], members["docs"], members["tfs"]
-        _require(len(ptr) == len(terms) + 1, "ptr does not have one entry per term plus one")
-        # every row is nonempty, as df is its length and idf divides by it
-        _require(_splits(ptr, len(docs)) and bool(np.all(ptr[1:] > ptr[:-1])),
-                 "ptr does not split docs into nonempty rows")
+        df, docs, tfs = members["df"], members["docs"], members["tfs"]
+        _require(len(df) == len(terms), "df does not have one entry per term")
+        # every row is nonempty, as idf divides by its length; each length is bounded
+        # before the sum, so the sum cannot wrap
+        _require(_within(df, 1, len(docs)), "a df is out of range")
+        _require(int(df.sum(dtype=np.uint64)) == len(docs), "df does not sum to the length of docs")
         _require(len(tfs) == len(docs), "tfs and docs differ in length")
         _require(_within(docs, 0, n - 1), "a doc position is out of range")
         _require(_within(tfs, 1, math.inf), "a term count is below 1")
-        ascending = docs[1:] > docs[:-1]
-        ascending[ptr[1:-1] - 1] = True  # a row may start below where the previous one ended
-        _require(bool(np.all(ascending)), "a row's doc positions do not strictly increase")
 
-        journal_codes, author_ptr, author_codes = (members[name] for name in _ARRAYS[3:])
+        journal_codes, author_counts, author_codes = (members[name] for name in _ARRAYS[3:])
         _require(len(journal_codes) == n, "journal_codes does not have one code per document")
         _require(_within(journal_codes, -1, len(journal_names) - 1), "a journal code is out of range")
-        _require(len(author_ptr) == n + 1 and _splits(author_ptr, len(author_codes)),
-                 "author_ptr does not split author_codes into documents")
+        _require(len(author_counts) == n, "author_counts does not have one count per document")
+        _require(_within(author_counts, 0, len(author_codes)), "an author count is out of range")
+        _require(int(author_counts.sum(dtype=np.uint64)) == len(author_codes),
+                 "author_counts does not sum to the length of author_codes")
         _require(_within(author_codes, 0, len(author_names) - 1), "an author code is out of range")
 
-        return cls(doc_ids, term_ids, ptr, docs, tfs, journal_names, journal_codes,
-                   author_names, author_ptr, author_codes)
+        index = cls(doc_ids, term_ids, df, docs, tfs, journal_names, journal_codes,
+                    author_names, author_counts, author_codes)
+        ascending = docs[1:] > docs[:-1]
+        ascending[index._ptr[1:-1] - 1] = True  # a row may start below where the previous one ended
+        _require(bool(np.all(ascending)), "a row's doc positions do not strictly increase")
+        return index
 
 
 def build_index(docs) -> InvertedIndex:
@@ -380,15 +400,12 @@ def build_index(docs) -> InvertedIndex:
     keys, tfs = np.unique(keys, return_counts=True)
     rows, docs = np.divmod(keys, n)
     del keys
-    ptr = np.zeros(len(term_ids) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=len(term_ids)), out=ptr[1:])
+    df = np.bincount(rows, minlength=len(term_ids))
     journal_names, journal_codes = _entity_codes(issns)
     author_names, author_codes = _entity_codes(authors)
-    author_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(author_counts, out=author_ptr[1:])
     # a plain dict: looking up a missing term must not insert it
-    return InvertedIndex(doc_ids, dict(term_ids), ptr, docs, tfs, journal_names, journal_codes,
-                         author_names, author_ptr, author_codes)
+    return InvertedIndex(doc_ids, dict(term_ids), df, docs, tfs, journal_names, journal_codes,
+                         author_names, author_counts, author_codes)
 
 
 def descending(values) -> np.ndarray:

@@ -612,6 +612,33 @@ def test_output_onto_a_fifo_is_refused(tmp_path, capsys, command):
     assert sorted(tmp_path.iterdir()) == before
 
 
+# (command, which of its outputs names an input, that input's option)
+_INPUT_AS_OUTPUT = [
+    ("index", 0, "--corpus"),
+    ("rerank", 0, "--index"),
+    ("analyze", 0, "--index"), ("analyze", 1, "--index"),
+    ("eval", 0, "--index"), ("eval", 1, "--topics"), ("eval", 2, "--qrels"), ("eval", 3, "--index"),
+]
+
+
+@pytest.mark.parametrize("link", ["same path", "symlink", "hard link"])
+@pytest.mark.parametrize("command, k, option", _INPUT_AS_OUTPUT)
+def test_output_onto_an_input_is_refused(tmp_path, capsys, command, k, option, link):
+    argv, outputs = _writing_command(tmp_path, command, tmp_path)
+    at = argv.index(option) + 1
+    if link == "same path":  # the input moves to the output's path
+        os.replace(argv[at], outputs[k])
+        argv[at] = str(outputs[k])
+    else:
+        (os.symlink if link == "symlink" else os.link)(argv[at], outputs[k])
+    before = _contents(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {outputs[k]} is the {option} file; choose another output path\n")
+    assert _contents(tmp_path) == before
+    assert os.path.islink(outputs[k]) == (link == "symlink")
+
+
 @pytest.mark.parametrize("command", ["rerank", "eval", "analyze"])
 def test_output_in_missing_directory_names_the_path(tmp_path, capsys, command):
     argv, outputs = _writing_command(tmp_path, command, tmp_path / "missing")

@@ -4,14 +4,18 @@
 files of any bytes, invalid UTF-8 included, mixed with lines that parse
 and sometimes led by a byte order mark.
 Each command exits 0 or 1; on 1 it prints nothing on stdout, one
-`error:` line on stderr and leaves no output file behind.
+`error:` line on stderr and leaves no output file behind. An index
+with one byte of a member's `.npy` header changed makes every command
+that reads it exit 1 in the same way.
 """
 import codecs
 import contextlib
 import io
 import json
 import os
+import struct
 import tempfile
+import zipfile
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -84,3 +88,50 @@ def test_index_then_eval_exit_0_or_one_error_line(corpus, topics, qrels, field, 
         _check(code, out, err)
         if code == 1:
             assert files == ["c.idx"]
+
+
+_CORPUS = "".join(json.dumps(record) + "\n" for record in [
+    {"id": "d1", "title": "quake risk", "body": "quake", "authors": ["Ada", "Bob"], "issn": "1111-1111"},
+    {"id": "d2", "title": "flood", "body": "quake flood", "authors": ["Bob"]},
+    {"id": "d3", "title": "risk", "body": "", "authors": [], "issn": "2222-2222"},
+])
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.data())
+def test_a_corrupt_npy_header_is_one_error_line(data):
+    # one byte of one member's .npy header (magic, version, length or header text) changed in
+    # place, as a disk fault would: every command that reads the index refuses it
+    with tempfile.TemporaryDirectory() as directory:
+        paths = {name: os.path.join(directory, name) for name in ("corpus", "topics", "qrels", "c.idx")}
+        for name, text in (("corpus", _CORPUS), ("topics", "t1\tquake\n"), ("qrels", "t1 0 d1 1\n")):
+            with open(paths[name], "w", encoding="utf-8") as fout:
+                fout.write(text)
+        index = paths["c.idx"]
+        assert _run(["index", "--corpus", paths["corpus"], "--out", index], directory)[0] == 0
+        with zipfile.ZipFile(index) as archive:
+            info = data.draw(st.sampled_from(archive.infolist()), label="member")
+        with open(index, "r+b") as fout:
+            # the member's data starts after its local header (30 bytes, its name and an extra field)
+            fout.seek(info.header_offset + 26)
+            name_size, extra_size = struct.unpack("<HH", fout.read(4))
+            start = info.header_offset + 30 + name_size + extra_size
+            fout.seek(start + 8)
+            header_size = 10 + struct.unpack("<H", fout.read(2))[0]
+            at = start + data.draw(st.integers(0, header_size - 1), label="offset")
+            fout.seek(at)
+            byte = fout.read(1)[0] ^ data.draw(st.integers(1, 255), label="xor")
+            fout.seek(at)
+            fout.write(bytes([byte]))
+        before = sorted(os.listdir(directory))
+        for argv in (
+            ["search", "--query", "quake"],
+            ["rerank", "--query", "quake", "--mode", "lotka", "--out", os.path.join(directory, "r.run")],
+            ["analyze", "--query", "quake", "--field", "author", "--out", os.path.join(directory, "a")],
+            ["eval", "--topics", paths["topics"], "--qrels", paths["qrels"], "--modes", "tfidf,brad",
+             "--out", os.path.join(directory, "exp")],
+        ):
+            code, out, err, files = _run([argv[0], "--index", index, *argv[1:]], directory)
+            assert (code, out, files) == (1, "", before)
+            _check(code, out, err)
+            assert err.startswith(f"error: {index} ") and err.endswith("; rebuild it with `lotkarank index`\n")

@@ -364,22 +364,23 @@ def test_layout_index_members():
     members = _layout_index()._members()
     assert list(members) == [
         "format", "terms", "doc_ids", "journal_names", "author_names",
-        "ptr", "docs", "tfs", "journal_codes", "author_ptr", "author_codes",
+        "df", "docs", "tfs", "journal_codes", "author_counts", "author_codes",
     ]
-    assert bytes(members["format"]) == b"lotkarank-index/4"
+    assert bytes(members["format"]) == b"lotkarank-index/5"
     assert bytes(members["terms"]) == b"alpha\nbeta\ngamma\n"
     assert bytes(members["doc_ids"]) == b"d1\nd2\nd3\n"
     assert bytes(members["journal_names"]) == b"1111-1111\n2222-2222\n"
     assert bytes(members["author_names"]).decode("utf-8") == "Ann\nÉmile\n"
     assert [m.dtype for m in members.values()][:5] == [np.uint8] * 5
-    assert members["ptr"].tolist() == [0, 2, 4, 6]
+    assert members["df"].tolist() == [2, 2, 2]
     assert members["docs"].tolist() == [0, 2, 0, 1, 1, 2]
     assert members["tfs"].tolist() == [1, 1, 1, 1, 1, 2]
     assert members["journal_codes"].tolist() == [0, -1, 1]
-    assert members["author_ptr"].tolist() == [0, 2, 3, 3]
+    assert members["author_counts"].tolist() == [2, 1, 0]
     assert members["author_codes"].tolist() == [0, 1, 1]
+    # each in the narrowest type that holds its values; journal codes also hold -1
     assert [m.dtype for m in members.values()][5:] == [
-        np.uint8, np.uint8, np.uint8, np.int32, np.int64, np.int32,
+        np.uint8, np.uint8, np.uint8, np.int8, np.uint8, np.uint8,
     ]
 
 
@@ -398,13 +399,16 @@ def _array(**values):
 # (changed members, None to drop a member; the reason the loader gives)
 CORRUPTIONS = {
     "no format": ({"format": None}, "no layout tag (a uint8 member named format)"),
-    "format not uint8": (_array(format=list(b"lotkarank-index/4")), "no layout tag"),
+    "format not uint8": (_array(format=list(b"lotkarank-index/5")), "no layout tag"),
     "wrong version": ({"format": np.frombuffer(b"lotkarank-index/99", dtype=np.uint8)},
                       "unknown layout 'lotkarank-index/99'"),
+    # the layout with offset tables (ptr, author_ptr) and int32 entity codes
+    "previous layout": ({"format": np.frombuffer(b"lotkarank-index/4", dtype=np.uint8)},
+                        "unknown layout 'lotkarank-index/4'"),
     # the layout before the line-ended string lists, with a blob and an offsets member per list
-    "previous layout": ({"format": np.frombuffer(b"lotkarank-index/3", dtype=np.uint8)},
-                        "unknown layout 'lotkarank-index/3'"),
-    "npy version 2.0": ({"ptr": _npy(np.array([0, 2, 4, 6]), version=(2, 0))}, "ptr is not in .npy version 1.0"),
+    "layout 3": ({"format": np.frombuffer(b"lotkarank-index/3", dtype=np.uint8)},
+                 "unknown layout 'lotkarank-index/3'"),
+    "npy version 2.0": ({"df": _npy(np.array([2, 2, 2]), version=(2, 0))}, "df is not in .npy version 1.0"),
     "missing member": ({"tfs": None}, "missing member tfs"),
     "extra member": (_array(notes=[1]), "unexpected member notes"),
     "float member": ({"tfs": np.ones(6)}, "tfs is not a 1-d integer array"),
@@ -415,7 +419,7 @@ CORRUPTIONS = {
     "text cut inside a character": (_text("author_names", "Ann\nÉmile\n".encode("utf-8")[:5] + b"\n"),
                                     "author_names is not UTF-8"),
     "no final line break": (_text("terms", b"alpha\nbeta\ngamma"), "terms does not end with a line break"),
-    "no documents": ({**_strings("doc_ids", []), **_array(journal_codes=[], author_ptr=[0])}, "no documents"),
+    "no documents": ({**_strings("doc_ids", []), **_array(journal_codes=[], author_counts=[])}, "no documents"),
     "doc ids unsorted": (_strings("doc_ids", ["d2", "d1", "d3"]), "doc ids are not strictly sorted"),
     "doc ids repeated": (_strings("doc_ids", ["d1", "d1", "d3"]), "doc ids are not strictly sorted"),
     "doc id with whitespace": (_strings("doc_ids", ["d 1", "d2", "d3"]), "a doc id is empty or has whitespace"),
@@ -424,11 +428,14 @@ CORRUPTIONS = {
                                "journal names are not strictly sorted"),
     "author names unsorted": (_strings("author_names", ["Émile", "Ann"]), "author names are not strictly sorted"),
     "terms repeated": (_strings("terms", ["alpha", "beta", "alpha"]), "terms are not unique"),
-    "ptr too short": (_array(ptr=[0, 2, 6]), "ptr does not have one entry per term plus one"),
-    "ptr starts above 0": (_array(ptr=[1, 2, 4, 6]), "ptr does not split docs into nonempty rows"),
-    "ptr decreases": (_array(ptr=[0, 4, 2, 6]), "ptr does not split docs into nonempty rows"),
-    "empty row": (_array(ptr=[0, 2, 2, 6]), "ptr does not split docs into nonempty rows"),
-    "ptr ends early": (_array(ptr=[0, 2, 4, 5]), "ptr does not split docs into nonempty rows"),
+    "df too short": (_array(df=[2, 4]), "df does not have one entry per term"),
+    "df sums past docs": (_array(df=[3, 2, 2]), "df does not sum to the length of docs"),
+    "negative df": (_array(df=[4, -2, 4]), "a df is out of range"),
+    "empty row": (_array(df=[2, 0, 4]), "a df is out of range"),
+    "df sums short of docs": (_array(df=[2, 2, 1]), "df does not sum to the length of docs"),
+    "df past docs": (_array(df=[2, 2, 7]), "a df is out of range"),
+    # sums to 6 modulo 2**64: each value is bounded before the sum is taken
+    "df wraps its sum": ({"df": np.array([2**64 - 2, 4, 4], dtype=np.uint64)}, "a df is out of range"),
     "tfs shorter than docs": (_array(tfs=[1, 1, 1, 1, 1]), "tfs and docs differ in length"),
     "position past corpus": (_array(docs=[0, 3, 0, 1, 1, 2]), "a doc position is out of range"),
     "negative position": (_array(docs=[-1, 2, 0, 1, 1, 2]), "a doc position is out of range"),
@@ -438,11 +445,13 @@ CORRUPTIONS = {
     "journal codes short": (_array(journal_codes=[0, -1]), "journal_codes does not have one code per document"),
     "journal code below -1": (_array(journal_codes=[0, -2, 1]), "a journal code is out of range"),
     "journal code past names": (_array(journal_codes=[0, -1, 2]), "a journal code is out of range"),
-    "author ptr short": (_array(author_ptr=[0, 2, 3]), "author_ptr does not split author_codes into documents"),
-    "author ptr decreases": (_array(author_ptr=[0, 3, 2, 3]),
-                             "author_ptr does not split author_codes into documents"),
-    "author ptr ends early": (_array(author_ptr=[0, 2, 2, 2]),
-                              "author_ptr does not split author_codes into documents"),
+    "author counts short": (_array(author_counts=[2, 1]), "author_counts does not have one count per document"),
+    "negative author count": (_array(author_counts=[3, -1, 1]), "an author count is out of range"),
+    "author counts sum short of codes": (_array(author_counts=[2, 0, 0]),
+                                         "author_counts does not sum to the length of author_codes"),
+    "author count past codes": (_array(author_counts=[4, 0, 0]), "an author count is out of range"),
+    "author counts wrap their sum": ({"author_counts": np.array([2**64 - 1, 2, 2], dtype=np.uint64)},
+                                     "an author count is out of range"),
     "author code past names": (_array(author_codes=[0, 1, 2]), "an author code is out of range"),
     "negative author code": (_array(author_codes=[0, -1, 1]), "an author code is out of range"),
 }
@@ -491,16 +500,16 @@ def _load_capped(path):
 
 
 @pytest.mark.parametrize("shape, reason", [
-    ((2**31,), f"ptr claims {2**34} bytes of data but holds 0"),
-    ((2**16, 2**15), "ptr is not a 1-d integer array"),
+    ((2**31,), f"df claims {2**34} bytes of data but holds 0"),
+    ((2**16, 2**15), "df is not a 1-d integer array"),
 ])
 def test_load_checks_npy_header_before_allocating(tmp_path, shape, reason):
-    # ptr's header claims 2**31 int64 values (16 GiB), but the member holds only the header
+    # df's header claims 2**31 int64 values (16 GiB), but the member holds only the header
     path = tmp_path / "hostile.idx"
     with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as archive:
         for name, array in _layout_index()._members().items():
             with archive.open(f"{name}.npy", "w") as member:
-                if name == "ptr":
+                if name == "df":
                     header = {"descr": "<i8", "fortran_order": False, "shape": shape}
                     np.lib.format.write_array_header_1_0(member, header)
                 else:
@@ -509,6 +518,61 @@ def test_load_checks_npy_header_before_allocating(tmp_path, shape, reason):
     message = _load_capped(path)
     assert message == f"{path} is not a valid index: {reason}; rebuild it with `lotkarank index`"
     assert "Unable to allocate" not in message
+
+
+@pytest.mark.parametrize("trailing", [0, 8192])
+def test_load_checks_every_members_crc(tmp_path, trailing):
+    # zipfile checks a member's CRC only once it is read to its end; a member with bytes
+    # after its array's data (4 KiB or more, past zipfile's read-ahead) would not be
+    index = build_index([_doc("d1", " ".join(f"t{i}" for i in range(6000)))])
+    members = {**index._members(), "tfs": _npy(index._tfs) + bytes(trailing)}
+    path = tmp_path / "flipped.idx"
+    _write_members(path, members)
+    with zipfile.ZipFile(path) as archive:
+        start = archive.getinfo("tfs.npy").header_offset
+    raw = bytearray(path.read_bytes())
+    data = raw.index(_npy(index._tfs), start) + len(_npy(index._tfs)) - len(index._tfs)  # tfs[0]
+    assert raw[data] == 1
+    raw[data] = 9
+    path.write_bytes(raw)
+    with pytest.raises(ValueError) as info:
+        InvertedIndex.load(path)
+    reason = (f"is not a valid index: tfs claims 6000 bytes of data but holds {6000 + trailing}" if trailing
+              else "is not a readable index (Bad CRC-32 for file 'tfs.npy')")
+    assert str(info.value) == f"{path} {reason}; rebuild it with `lotkarank index`"
+
+
+@pytest.mark.parametrize("member, size, dtype", [
+    ("author_counts", 255, np.uint8), ("author_counts", 256, np.uint16),  # authors on one document
+    ("journal_codes", 128, np.int8), ("journal_codes", 129, np.int16),  # journals
+    ("author_codes", 256, np.uint8), ("author_codes", 257, np.uint16),  # author names
+    ("df", 255, np.uint8), ("df", 256, np.uint16),  # documents in one row
+])
+def test_layout_round_trips_at_type_edges(tmp_path, member, size, dtype):
+    names = [f"n{i:03d}" for i in range(size)]
+    if member == "author_counts":
+        records = [_doc("d0", "shared", authors=names), _doc("d1", "other")]
+    elif member == "journal_codes":
+        records = [_doc(f"d{i:03d}", "shared", journal_issn=name) for i, name in enumerate(names)]
+        records.append(_doc("zz", "other"))  # and one document without a journal
+    elif member == "author_codes":
+        records = [_doc(f"d{i:03d}", "shared", authors=[name]) for i, name in enumerate(names)]
+    else:
+        records = [_doc(f"d{i:03d}", "shared") for i in range(size)] + [_doc("zz", "other")]
+    index = build_index(records)
+    assert index._members()[member].dtype == dtype
+    path = tmp_path / "edge.idx"
+    index.save(path)
+    loaded = InvertedIndex.load(path)
+    assert loaded == index
+    positions = np.arange(index.corpus_size)[::-1]
+    for field in EntityField:
+        (codes, owners, names), (want_codes, want_owners, want_names) = (
+            idx.entity_codes(field, positions) for idx in (loaded, index)
+        )
+        assert (codes.tolist(), owners.tolist(), names) == (want_codes.tolist(), want_owners.tolist(), want_names)
+        assert (codes.dtype, owners.dtype) == (want_codes.dtype, want_owners.dtype)
+    assert search("shared", loaded) == search("shared", index)
 
 
 def test_load_rejects_compressed_member(tmp_path):
