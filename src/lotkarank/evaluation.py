@@ -77,10 +77,11 @@ def parse_qrels(lines) -> QrelSet:
         if len(parts) != 4:
             raise ValueError(f"qrels line {lineno}: expected 4 columns, got {len(parts)}")
         topic_id, _, doc_id, grade_text = parts
-        try:
-            grade = int(grade_text)
-        except ValueError:
-            raise ValueError(f"qrels line {lineno}: grade {grade_text!r} is not an integer") from None
+        # an optional sign and ASCII digits; int() would also take "1_0" or non-ASCII digits
+        digits = grade_text[1:] if grade_text[0] in "+-" else grade_text
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"qrels line {lineno}: grade {grade_text!r} is not an integer")
+        grade = int(grade_text)
         if grade < 0:
             raise ValueError(f"qrels line {lineno}: negative grade")
         if (topic_id, doc_id) in judgments:

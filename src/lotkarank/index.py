@@ -29,20 +29,24 @@ the two offset tables, and is the one place that sets them and stores
 each integer table in its type; ``build_index`` computes the tables from
 records and ``InvertedIndex.load`` checks them from a file.
 
-A saved index (layout ``lotkarank-index/5``) is an uncompressed zip of
+A saved index (layout ``lotkarank-index/6``) is an uncompressed zip of
 ``.npy`` members, as ``np.savez`` writes, but with a fixed timestamp so
 that equal indexes give equal bytes. It holds arrays only: the layout tag
 (``format``, UTF-8 bytes), each string list (terms in row order, doc ids,
 journal names, author names) as UTF-8 text with every string ended by a
-line break (no saved string holds one), and six integer arrays, each in
+line break (no saved string holds one), and seven integer arrays, each in
 the narrowest type that holds its values: ``df`` (each row's length),
-``docs``, ``tfs``, ``author_counts`` (authors per document) and
-``author_codes`` unsigned, ``journal_codes`` signed (it holds -1). The
-offsets are not saved: load rebuilds them from the lengths with one
-cumulative sum each. ``InvertedIndex.load`` reads only 1-d integer
-``.npy`` members whose header's size is exactly the member's data, and
-checks every member before use; a file in an earlier layout (``/4`` and
-before) is refused and must be rebuilt.
+``docs``, ``tf_gaps``, ``tf_values``, ``author_counts`` (authors per
+document) and ``author_codes`` unsigned, ``journal_codes`` signed (it
+holds -1). Most term counts are 1, so only the others are saved:
+``tf_values`` holds each count above 1, and ``tf_gaps`` its posting's
+distance from the previous such posting (the first from posting 0).
+Nor are the offsets saved: load rebuilds them from the lengths, and the
+term counts from the gaps, with one cumulative sum each.
+``InvertedIndex.load`` reads only 1-d integer ``.npy`` members whose
+header's size is exactly the member's data, and checks every member
+before use (each gap or length is bounded before it is summed); a file
+in an earlier layout (``/5`` and before) is refused and must be rebuilt.
 """
 import io
 import math
@@ -59,9 +63,9 @@ from .corpus import EntityField, tokenize
 from .output import write_files
 
 # layout of a saved index; change it whenever the members or their meaning change
-_FORMAT = "lotkarank-index/5"
+_FORMAT = "lotkarank-index/6"
 _STRING_LISTS = ("terms", "doc_ids", "journal_names", "author_names")
-_ARRAYS = ("df", "docs", "tfs", "journal_codes", "author_counts", "author_codes")
+_ARRAYS = ("df", "docs", "tf_gaps", "tf_values", "journal_codes", "author_counts", "author_codes")
 _MEMBERS = ("format", *_STRING_LISTS, *_ARRAYS)
 _ZIP_DATE = (1980, 1, 1, 0, 0, 0)  # the earliest date a zip header holds: no build time in the file
 _REBUILD = "rebuild it with `lotkarank index`"
@@ -253,8 +257,13 @@ class InvertedIndex:
         strings = (list(self._term_ids), self._doc_ids, self._journal_names, self._author_names)
         members.update(zip(_STRING_LISTS, map(_pack_strings, strings)))
         df, author_counts = np.diff(self._ptr), np.diff(self._author_ptr)
+        # the postings whose tf is above 1, each as its distance from the previous one
+        # (the first from posting 0); their tfs are already in the narrowest type
+        above = np.flatnonzero(self._tfs > 1)
+        tf_gaps = np.diff(above, prepend=0)
         arrays = (
-            _narrow(df, df.max(initial=0)), self._docs, self._tfs,
+            _narrow(df, df.max(initial=0)), self._docs,
+            _narrow(tf_gaps, tf_gaps.max(initial=0)), self._tfs[above],
             # the narrowest signed type that holds -1 and the last code
             self._journal_codes.astype(np.min_scalar_type(-max(len(self._journal_names), 1))),
             _narrow(author_counts, author_counts.max(initial=0)),
@@ -341,17 +350,26 @@ class InvertedIndex:
         term_ids = dict(zip(terms, range(len(terms))))
         _require(len(term_ids) == len(terms), "terms are not unique")
 
-        df, docs, tfs = members["df"], members["docs"], members["tfs"]
+        df, docs, tf_gaps, tf_values = (members[name] for name in _ARRAYS[:4])
         _require(len(df) == len(terms), "df does not have one entry per term")
         # every row is nonempty, as idf divides by its length; each length is bounded
         # before the sum, so the sum cannot wrap
         _require(_within(df, 1, len(docs)), "a df is out of range")
         _require(int(df.sum(dtype=np.uint64)) == len(docs), "df does not sum to the length of docs")
-        _require(len(tfs) == len(docs), "tfs and docs differ in length")
         _require(_within(docs, 0, n - 1), "a doc position is out of range")
-        _require(_within(tfs, 1, math.inf), "a term count is below 1")
+        _require(len(tf_gaps) == len(tf_values), "tf_gaps and tf_values differ in length")
+        _require(len(tf_values) <= len(docs), "tf_values is longer than docs")
+        _require(_within(tf_values, 2, math.inf), "a stored term count is below 2")
+        # later gaps are at least 1, so the positions strictly increase; each gap is
+        # bounded before the sum, so the sum cannot wrap
+        _require(_within(tf_gaps[:1], 0, len(docs) - 1) and _within(tf_gaps[1:], 1, len(docs) - 1),
+                 "a tf gap is out of range")
+        above = np.cumsum(tf_gaps, dtype=np.intp)
+        _require(len(above) == 0 or above[-1] < len(docs), "tf_gaps run past the end of docs")
+        tfs = np.ones(len(docs), dtype=tf_values.dtype)
+        tfs[above] = tf_values
 
-        journal_codes, author_counts, author_codes = (members[name] for name in _ARRAYS[3:])
+        journal_codes, author_counts, author_codes = (members[name] for name in _ARRAYS[4:])
         _require(len(journal_codes) == n, "journal_codes does not have one code per document")
         _require(_within(journal_codes, -1, len(journal_names) - 1), "a journal code is out of range")
         _require(len(author_counts) == n, "author_counts does not have one count per document")

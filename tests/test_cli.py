@@ -233,15 +233,16 @@ def test_commands_reject_foreign_index(tmp_path, capsys, kind):
 
 
 def test_commands_reject_a_duplicated_index_member(tmp_path, capsys):
-    # a second, all-ones tfs member appended to a good index: loaded, it would win and
-    # give other scores without a word
+    # a second tf_values member, every count 2, appended to a good index: loaded, it would
+    # win and give other scores without a word
     idx = _indexed_tiny(tmp_path)
     with zipfile.ZipFile(idx) as archive:
-        tfs = np.load(io.BytesIO(archive.read("tfs.npy")))
+        tf_values = np.load(io.BytesIO(archive.read("tf_values.npy")))
+    assert tf_values.tolist() == [4, 3, 2]  # quake in d1, d2 and d3
     buffer = io.BytesIO()
-    np.save(buffer, np.ones_like(tfs))
+    np.save(buffer, np.full_like(tf_values, 2))
     with pytest.warns(UserWarning, match="Duplicate name"), zipfile.ZipFile(idx, "a") as archive:
-        archive.writestr("tfs.npy", buffer.getvalue())
+        archive.writestr("tf_values.npy", buffer.getvalue())
     for argv in (
         ["search", "--query", "quake", "--top", "2"],
         ["rerank", "--query", "quake", "--mode", "tfidf", "--out", str(tmp_path / "r.run")],
@@ -251,7 +252,7 @@ def test_commands_reject_a_duplicated_index_member(tmp_path, capsys):
         assert main([argv[0], "--index", str(idx), *argv[1:]]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (f"error: {idx} is not a valid index: duplicate member tfs; "
+        assert captured.err == (f"error: {idx} is not a valid index: duplicate member tf_values; "
                                 "rebuild it with `lotkarank index`\n")
     assert not (tmp_path / "r.run").exists()
 
@@ -505,6 +506,20 @@ def test_eval_command_aborts_before_writing_on_bad_input(tmp_path, capsys):
         "eval", "--index", str(idx), "--topics", str(topics), "--qrels", str(bad_qrels),
         "--modes", "tfidf", "--out", str(prefix),
     ]) == 1
+    assert not list(tmp_path.glob("aborted.*"))
+
+
+@pytest.mark.parametrize("grade", ["1_0", "٣"])
+def test_eval_command_rejects_a_grade_int_would_read(tmp_path, capsys, grade):
+    # int() reads these as 10 and 3
+    idx, topics, _ = _eval_fixture(tmp_path)
+    qrels = tmp_path / "odd_qrels.txt"
+    _write(qrels, ["t1 0 d1 1", f"t1 0 d2 {grade}"])
+    assert main([
+        "eval", "--index", str(idx), "--topics", str(topics), "--qrels", str(qrels),
+        "--modes", "tfidf", "--out", str(tmp_path / "aborted"),
+    ]) == 1
+    assert capsys.readouterr().err == f"error: qrels line 2: grade {grade!r} is not an integer\n"
     assert not list(tmp_path.glob("aborted.*"))
 
 

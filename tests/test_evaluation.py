@@ -78,6 +78,20 @@ def test_parse_qrels_rejects_bad_lines():
         parse_qrels(["126 0 doc1 1", "126 0 doc1 0"])
 
 
+@pytest.mark.parametrize("grade", ["1_0", "٣", "+", "-", "1.0", "0x1", "１", "+-1"])
+def test_parse_qrels_takes_only_ascii_digit_grades(grade):
+    # int() reads "1_0" as 10 and the Arabic-Indic digit three as 3
+    with pytest.raises(ValueError) as info:
+        parse_qrels(["t1 0 d000000 0", f"t1 0 d000001 {grade}"])
+    assert str(info.value) == f"qrels line 2: grade {grade!r} is not an integer"
+
+
+def test_parse_qrels_takes_a_signed_grade():
+    assert parse_qrels(["t1 0 d1 +2", "t1 0 d2 007", "t1 0 d3 -0"]).judgments == {
+        ("t1", "d1"): 2, ("t1", "d2"): 7, ("t1", "d3"): 0,
+    }
+
+
 # --- precision fixtures, hand-computed -----------------------------------
 
 PRECISION_CASES = [

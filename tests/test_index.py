@@ -364,9 +364,9 @@ def test_layout_index_members():
     members = _layout_index()._members()
     assert list(members) == [
         "format", "terms", "doc_ids", "journal_names", "author_names",
-        "df", "docs", "tfs", "journal_codes", "author_counts", "author_codes",
+        "df", "docs", "tf_gaps", "tf_values", "journal_codes", "author_counts", "author_codes",
     ]
-    assert bytes(members["format"]) == b"lotkarank-index/5"
+    assert bytes(members["format"]) == b"lotkarank-index/6"
     assert bytes(members["terms"]) == b"alpha\nbeta\ngamma\n"
     assert bytes(members["doc_ids"]) == b"d1\nd2\nd3\n"
     assert bytes(members["journal_names"]) == b"1111-1111\n2222-2222\n"
@@ -374,13 +374,15 @@ def test_layout_index_members():
     assert [m.dtype for m in members.values()][:5] == [np.uint8] * 5
     assert members["df"].tolist() == [2, 2, 2]
     assert members["docs"].tolist() == [0, 2, 0, 1, 1, 2]
-    assert members["tfs"].tolist() == [1, 1, 1, 1, 1, 2]
+    # the term counts are [1, 1, 1, 1, 1, 2]: only posting 5's is above 1
+    assert members["tf_gaps"].tolist() == [5]
+    assert members["tf_values"].tolist() == [2]
     assert members["journal_codes"].tolist() == [0, -1, 1]
     assert members["author_counts"].tolist() == [2, 1, 0]
     assert members["author_codes"].tolist() == [0, 1, 1]
     # each in the narrowest type that holds its values; journal codes also hold -1
     assert [m.dtype for m in members.values()][5:] == [
-        np.uint8, np.uint8, np.uint8, np.int8, np.uint8, np.uint8,
+        np.uint8, np.uint8, np.uint8, np.uint8, np.int8, np.uint8, np.uint8,
     ]
 
 
@@ -399,19 +401,24 @@ def _array(**values):
 # (changed members, None to drop a member; the reason the loader gives)
 CORRUPTIONS = {
     "no format": ({"format": None}, "no layout tag (a uint8 member named format)"),
-    "format not uint8": (_array(format=list(b"lotkarank-index/5")), "no layout tag"),
+    "format not uint8": (_array(format=list(b"lotkarank-index/6")), "no layout tag"),
     "wrong version": ({"format": np.frombuffer(b"lotkarank-index/99", dtype=np.uint8)},
                       "unknown layout 'lotkarank-index/99'"),
+    # the layout with every term count in one tfs member
+    "previous layout": ({"format": np.frombuffer(b"lotkarank-index/5", dtype=np.uint8)},
+                        "unknown layout 'lotkarank-index/5'"),
     # the layout with offset tables (ptr, author_ptr) and int32 entity codes
-    "previous layout": ({"format": np.frombuffer(b"lotkarank-index/4", dtype=np.uint8)},
-                        "unknown layout 'lotkarank-index/4'"),
+    "layout 4": ({"format": np.frombuffer(b"lotkarank-index/4", dtype=np.uint8)},
+                 "unknown layout 'lotkarank-index/4'"),
     # the layout before the line-ended string lists, with a blob and an offsets member per list
     "layout 3": ({"format": np.frombuffer(b"lotkarank-index/3", dtype=np.uint8)},
                  "unknown layout 'lotkarank-index/3'"),
     "npy version 2.0": ({"df": _npy(np.array([2, 2, 2]), version=(2, 0))}, "df is not in .npy version 1.0"),
-    "missing member": ({"tfs": None}, "missing member tfs"),
+    "missing member": ({"tf_gaps": None}, "missing member tf_gaps"),
+    "missing tf_values": ({"tf_values": None}, "missing member tf_values"),
     "extra member": (_array(notes=[1]), "unexpected member notes"),
-    "float member": ({"tfs": np.ones(6)}, "tfs is not a 1-d integer array"),
+    "float member": ({"tf_values": np.full(1, 2.0)}, "tf_values is not a 1-d integer array"),
+    "float tf_gaps": ({"tf_gaps": np.full(1, 5.0)}, "tf_gaps is not a 1-d integer array"),
     "2-d member": ({"docs": np.zeros((2, 3), dtype=np.uint8)}, "docs is not a 1-d integer array"),
     "wide blob": ({"terms": _pack_strings(["alpha", "beta", "gamma"]).astype(np.uint16)},
                   "terms is not a uint8 array"),
@@ -436,10 +443,21 @@ CORRUPTIONS = {
     "df past docs": (_array(df=[2, 2, 7]), "a df is out of range"),
     # sums to 6 modulo 2**64: each value is bounded before the sum is taken
     "df wraps its sum": ({"df": np.array([2**64 - 2, 4, 4], dtype=np.uint64)}, "a df is out of range"),
-    "tfs shorter than docs": (_array(tfs=[1, 1, 1, 1, 1]), "tfs and docs differ in length"),
+    # the term counts and docs disagree in length: seven counts above 1 for six postings
+    "tfs shorter than docs": (_array(tf_gaps=[0, 1, 1, 1, 1, 1, 1], tf_values=[2] * 7),
+                              "tf_values is longer than docs"),
+    "tf lengths differ": (_array(tf_gaps=[5], tf_values=[2, 3]), "tf_gaps and tf_values differ in length"),
     "position past corpus": (_array(docs=[0, 3, 0, 1, 1, 2]), "a doc position is out of range"),
     "negative position": (_array(docs=[-1, 2, 0, 1, 1, 2]), "a doc position is out of range"),
-    "zero term count": (_array(tfs=[1, 0, 1, 1, 1, 2]), "a term count is below 1"),
+    "zero term count": (_array(tf_gaps=[1, 4], tf_values=[0, 2]), "a stored term count is below 2"),
+    "stored term count of 1": (_array(tf_values=[1]), "a stored term count is below 2"),
+    "first gap past docs": (_array(tf_gaps=[6]), "a tf gap is out of range"),
+    "negative gap": (_array(tf_gaps=[-1]), "a tf gap is out of range"),
+    "later gap of 0": (_array(tf_gaps=[5, 0], tf_values=[2, 2]), "a tf gap is out of range"),
+    "gaps run past docs": (_array(tf_gaps=[3, 3], tf_values=[2, 2]), "tf_gaps run past the end of docs"),
+    # sums to 2 modulo 2**64: each gap is bounded before the sum is taken
+    "gaps wrap their sum": ({"tf_gaps": np.array([3, 2**64 - 1], dtype=np.uint64), **_array(tf_values=[2, 2])},
+                            "a tf gap is out of range"),
     "row out of order": (_array(docs=[2, 0, 0, 1, 1, 2]), "a row's doc positions do not strictly increase"),
     "row repeats a position": (_array(docs=[0, 0, 0, 1, 1, 2]), "a row's doc positions do not strictly increase"),
     "journal codes short": (_array(journal_codes=[0, -1]), "journal_codes does not have one code per document"),
@@ -523,22 +541,25 @@ def test_load_checks_npy_header_before_allocating(tmp_path, shape, reason):
 @pytest.mark.parametrize("trailing", [0, 8192])
 def test_load_checks_every_members_crc(tmp_path, trailing):
     # zipfile checks a member's CRC only once it is read to its end; a member with bytes
-    # after its array's data (4 KiB or more, past zipfile's read-ahead) would not be
-    index = build_index([_doc("d1", " ".join(f"t{i}" for i in range(6000)))])
-    members = {**index._members(), "tfs": _npy(index._tfs) + bytes(trailing)}
+    # after its array's data (4 KiB or more, past zipfile's read-ahead) would not be, and
+    # a term count of 9 in place of 2 passes every other check
+    index = build_index([_doc("d1", " ".join(f"t{i} t{i}" for i in range(6000)))])
+    tf_values = index._members()["tf_values"]
+    assert tf_values.tolist() == [2] * 6000
+    members = {**index._members(), "tf_values": _npy(tf_values) + bytes(trailing)}
     path = tmp_path / "flipped.idx"
     _write_members(path, members)
     with zipfile.ZipFile(path) as archive:
-        start = archive.getinfo("tfs.npy").header_offset
+        start = archive.getinfo("tf_values.npy").header_offset
     raw = bytearray(path.read_bytes())
-    data = raw.index(_npy(index._tfs), start) + len(_npy(index._tfs)) - len(index._tfs)  # tfs[0]
-    assert raw[data] == 1
+    data = raw.index(_npy(tf_values), start) + len(_npy(tf_values)) - len(tf_values)  # tf_values[0]
+    assert raw[data] == 2
     raw[data] = 9
     path.write_bytes(raw)
     with pytest.raises(ValueError) as info:
         InvertedIndex.load(path)
-    reason = (f"is not a valid index: tfs claims 6000 bytes of data but holds {6000 + trailing}" if trailing
-              else "is not a readable index (Bad CRC-32 for file 'tfs.npy')")
+    reason = (f"is not a valid index: tf_values claims 6000 bytes of data but holds {6000 + trailing}"
+              if trailing else "is not a readable index (Bad CRC-32 for file 'tf_values.npy')")
     assert str(info.value) == f"{path} {reason}; rebuild it with `lotkarank index`"
 
 
@@ -547,10 +568,22 @@ def test_load_checks_every_members_crc(tmp_path, trailing):
     ("journal_codes", 128, np.int8), ("journal_codes", 129, np.int16),  # journals
     ("author_codes", 256, np.uint8), ("author_codes", 257, np.uint16),  # author names
     ("df", 255, np.uint8), ("df", 256, np.uint16),  # documents in one row
+    # the first posting's term count: 1 leaves both tf members empty, 2 gives a first gap of 0
+    ("tf_values", 1, np.uint8), ("tf_values", 2, np.uint8),
+    ("tf_values", 255, np.uint8), ("tf_values", 256, np.uint16),
+    ("tf_gaps", 255, np.uint8), ("tf_gaps", 256, np.uint16),  # postings between two counts above 1
 ])
 def test_layout_round_trips_at_type_edges(tmp_path, member, size, dtype):
     names = [f"n{i:03d}" for i in range(size)]
-    if member == "author_counts":
+    if member == "tf_values":
+        records = [_doc("d0", "shared " * size), _doc("d1", "other")]
+        tf_members = {"tf_gaps": [0], "tf_values": [size]} if size > 1 else {"tf_gaps": [], "tf_values": []}
+    elif member == "tf_gaps":
+        # the first and the last document of the row hold the term twice
+        records = [_doc(f"d{i:03d}", "shared shared" if i in (0, size) else "shared") for i in range(size + 1)]
+        records.append(_doc("zz", "other"))
+        tf_members = {"tf_gaps": [0, size], "tf_values": [2, 2]}
+    elif member == "author_counts":
         records = [_doc("d0", "shared", authors=names), _doc("d1", "other")]
     elif member == "journal_codes":
         records = [_doc(f"d{i:03d}", "shared", journal_issn=name) for i, name in enumerate(names)]
@@ -561,6 +594,8 @@ def test_layout_round_trips_at_type_edges(tmp_path, member, size, dtype):
         records = [_doc(f"d{i:03d}", "shared") for i in range(size)] + [_doc("zz", "other")]
     index = build_index(records)
     assert index._members()[member].dtype == dtype
+    if member in ("tf_gaps", "tf_values"):
+        assert {name: index._members()[name].tolist() for name in tf_members} == tf_members
     path = tmp_path / "edge.idx"
     index.save(path)
     loaded = InvertedIndex.load(path)
@@ -592,10 +627,10 @@ def test_load_rejects_a_duplicated_member(tmp_path):
     path = tmp_path / "dup.idx"
     index.save(path)
     with pytest.warns(UserWarning, match="Duplicate name"), zipfile.ZipFile(path, "a") as archive:
-        archive.writestr("tfs.npy", _npy(np.ones_like(index._tfs)))
+        archive.writestr("tf_values.npy", _npy(np.array([3], dtype=np.uint8)))
     with pytest.raises(ValueError) as info:
         InvertedIndex.load(path)
-    assert str(info.value) == (f"{path} is not a valid index: duplicate member tfs; "
+    assert str(info.value) == (f"{path} is not a valid index: duplicate member tf_values; "
                                "rebuild it with `lotkarank index`")
 
 
