@@ -26,19 +26,6 @@ class Topic:
     query_text: str
 
 
-class QrelSet:
-    """Relevance judgments keyed by (topic_id, doc_id); relevant iff grade > 0."""
-
-    def __init__(self, judgments: dict[tuple[str, str], int] | None = None):
-        self.judgments = dict(judgments or {})
-        for (topic_id, doc_id), grade in self.judgments.items():
-            if grade < 0:
-                raise ValueError(f"negative grade for ({topic_id}, {doc_id})")
-
-    def topic_ids(self) -> set[str]:
-        return {topic_id for topic_id, _ in self.judgments}
-
-
 def parse_topics(lines) -> list[Topic]:
     """Parse 'topic_id<TAB>query_text' lines; blank lines are skipped."""
     topics = []
@@ -67,8 +54,8 @@ def load_topics(path) -> list[Topic]:
         return parse_topics(fin)
 
 
-def parse_qrels(lines) -> QrelSet:
-    """Parse 4-column judgment lines: topic_id 0 doc_id grade."""
+def parse_qrels(lines) -> dict[tuple[str, str], int]:
+    """Parse 4-column judgment lines, topic_id 0 doc_id grade, into {(topic_id, doc_id): grade}."""
     judgments: dict[tuple[str, str], int] = {}
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
@@ -87,10 +74,10 @@ def parse_qrels(lines) -> QrelSet:
         if (topic_id, doc_id) in judgments:
             raise ValueError(f"qrels line {lineno}: duplicate judgment for ({topic_id}, {doc_id})")
         judgments[(topic_id, doc_id)] = grade
-    return QrelSet(judgments)
+    return judgments
 
 
-def load_qrels(path) -> QrelSet:
+def load_qrels(path) -> dict[tuple[str, str], int]:
     with open_text(path) as fin:
         return parse_qrels(fin)
 
@@ -124,11 +111,13 @@ class EvalReport:
     unknown_qrel_topics: int = 0
 
 
-def run_evaluation(index: InvertedIndex, topics, qrels: QrelSet, configs) -> EvalReport:
+def run_evaluation(index: InvertedIndex, topics, qrels: dict[tuple[str, str], int], configs) -> EvalReport:
     """Search every topic once, rerank it under every config and collect metrics.
 
-    Topic ids and the configs' run tags must be unique. Qrel topics that
-    do not appear in the topic list are ignored; their count is reported.
+    qrels maps (topic_id, doc_id) to a grade, as load_qrels returns it; a
+    negative grade is a ValueError. Topic ids and the configs' run tags
+    must be unique. Qrel topics that do not appear in the topic list are
+    ignored; their count is reported.
     A judged doc_id that is not in the index is never retrieved, so it is
     skipped. The metrics read the ranked lists' index positions: a topic's
     relevant documents (grade > 0) are one boolean mask over the index,
@@ -143,7 +132,7 @@ def run_evaluation(index: InvertedIndex, topics, qrels: QrelSet, configs) -> Eva
         if topic_id in seen:  # per_topic is keyed by id: a second topic would overwrite the first
             raise ValueError(f"duplicate topic_id {topic_id!r}")
         seen.add(topic_id)
-    unknown = qrels.topic_ids() - seen
+    unknown = {topic_id for topic_id, _ in qrels} - seen
     tags = set()
     for config in configs:
         if config.run_tag in tags:  # report rows and run files are named by tag
@@ -151,7 +140,9 @@ def run_evaluation(index: InvertedIndex, topics, qrels: QrelSet, configs) -> Eva
         tags.add(config.run_tag)
 
     judged = defaultdict(list)  # topic_id -> index positions of its relevant documents
-    for (topic_id, doc_id), grade in qrels.judgments.items():
+    for (topic_id, doc_id), grade in qrels.items():
+        if grade < 0:
+            raise ValueError(f"negative grade for ({topic_id}, {doc_id})")
         if grade > 0 and topic_id in seen:
             try:
                 judged[topic_id].append(index.position(doc_id))

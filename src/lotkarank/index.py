@@ -83,9 +83,9 @@ class ResultSet:
     """
 
     query_id: str
-    positions: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
-    scores: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.float64))
-    doc_id_table: list[str] = field(default_factory=list, repr=False)  # doc_id of each index position
+    positions: np.ndarray
+    scores: np.ndarray
+    doc_id_table: list[str] = field(repr=False)  # doc_id of each index position
     tag: str = "tfidf"
     dropped: int = 0
 
@@ -101,12 +101,6 @@ class ResultSet:
     def doc_ids(self, k: int | None = None) -> list[str]:
         """The doc_ids in rank order, or those of the top k only."""
         return list(map(self.doc_id_table.__getitem__, self.positions[:k].tolist()))
-
-    def __eq__(self, other):
-        if not isinstance(other, ResultSet):
-            return NotImplemented
-        return (self.query_id == other.query_id and self.tag == other.tag and self.dropped == other.dropped
-                and self.doc_ids() == other.doc_ids() and np.array_equal(self.scores, other.scores))
 
 
 def _pack_strings(strings):

@@ -172,6 +172,12 @@ def ranked_list(query_id, doc_ids, scores=None, tag="tfidf", dropped=0) -> Resul
     )
 
 
+def same_ranking(a: ResultSet, b: ResultSet) -> bool:
+    """Whether two result sets are one ranked list: query id, run tag, drop count, doc_ids and exact scores."""
+    return (a.query_id == b.query_id and a.tag == b.tag and a.dropped == b.dropped
+            and a.doc_ids() == b.doc_ids() and np.array_equal(a.scores, b.scores))
+
+
 def qrels_lines(judgments) -> list[str]:
     return [f"{topic_id} 0 {doc_id} {grade}" for (topic_id, doc_id), grade in judgments.items()]
 

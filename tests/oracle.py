@@ -107,7 +107,7 @@ def naive_overlap(entries_a, entries_b, k):
 
 def is_relevant(qrels, topic_id, doc_id):
     """Whether the qrels judge the document relevant to the topic (grade > 0)."""
-    return qrels.judgments.get((topic_id, doc_id), 0) > 0
+    return qrels.get((topic_id, doc_id), 0) > 0
 
 
 def precision_at_k(ranked, qrels, k):

@@ -11,7 +11,6 @@ from helpers import make_power_law_corpus, make_topic_suite, random_small_corpus
 from oracle import naive_rerank, naive_search, overlap_at_k, precision_at_k
 from lotkarank.corpus import DocumentRecord
 from lotkarank.evaluation import (
-    QrelSet,
     report_csv,
     run_evaluation,
 )
@@ -128,7 +127,7 @@ def test_metric_fixtures_and_report_determinism():
         (["a", "b"], set(), 2, 0.0),
     ]
     for doc_ids, relevant, k, expected in precision_cases:
-        qrels = QrelSet({("t", doc_id): 1 for doc_id in relevant})
+        qrels = {("t", doc_id): 1 for doc_id in relevant}
         assert precision_at_k(_ranked(doc_ids), qrels, k) == expected
 
     overlap_cases = [
@@ -150,11 +149,10 @@ def test_metric_fixtures_and_report_determinism():
 
     suite = make_topic_suite(n_topics=5, docs_per_topic=20, star_docs=8, seed=61)
     index = build_index(suite.records)
-    qrels = QrelSet(suite.judgments)
     configs = [RankingConfig(mode=Mode.TFIDF), RankingConfig(mode=Mode.BRADFORD),
                RankingConfig(mode=Mode.LOTKA)]
-    first = report_csv(run_evaluation(index, suite.topics, qrels, configs))
-    second = report_csv(run_evaluation(index, suite.topics, qrels, configs))
+    first = report_csv(run_evaluation(index, suite.topics, suite.judgments, configs))
+    second = report_csv(run_evaluation(index, suite.topics, suite.judgments, configs))
     assert first.encode("utf-8") == second.encode("utf-8")
 
 
@@ -169,7 +167,7 @@ def test_directional_author_rerank_improvement():
     report = run_evaluation(
         index,
         suite.topics,
-        QrelSet(suite.judgments),
+        suite.judgments,
         [RankingConfig(mode=Mode.TFIDF), RankingConfig(mode=Mode.LOTKA)],
     )
     tfidf_run, lotka_run = report.runs
@@ -187,7 +185,7 @@ def test_top10_disjointness():
     report = run_evaluation(
         index,
         suite.topics,
-        QrelSet(suite.judgments),
+        suite.judgments,
         [RankingConfig(mode=Mode.TFIDF), RankingConfig(mode=Mode.LOTKA)],
     )
     (tag_a, tag_b, mean), = report.mean_overlap

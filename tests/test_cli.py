@@ -391,7 +391,7 @@ DEFINED_IN = {
     "informetrics": ["EntityFrequencyTable", "PowerLawFit", "entity_frequencies", "fit_power_law",
                      "rank_frequency_series"],
     "rerank": ["MissingPolicy", "Mode", "RankingConfig", "rerank"],
-    "evaluation": ["EvalReport", "QrelSet", "Topic", "load_qrels", "load_topics", "parse_qrels",
+    "evaluation": ["EvalReport", "Topic", "load_qrels", "load_topics", "parse_qrels",
                    "parse_topics", "run_evaluation"],
 }
 names = [name for module in DEFINED_IN.values() for name in module]
@@ -751,7 +751,7 @@ def test_byte_order_mark_is_skipped(tmp_path):
         assert main(["eval", "--index", str(idx), "--topics", str(topics), "--qrels", str(qrels),
                      "--modes", "tfidf,brad,lotka,combined", "--field", "author", "--out", str(directory / "exp")]) == 0
         outputs = {path.name: path.read_bytes() for path in directory.iterdir() if path.name.startswith(("exp.", "c."))}
-        results.append((load_corpus(corpus_path), load_topics(topics), load_qrels(qrels).judgments, outputs))
+        results.append((load_corpus(corpus_path), load_topics(topics), load_qrels(qrels), outputs))
     plain, marked = results
     assert [rec.doc_id for rec in plain[0]] == ["d1", "d2", "d3", "d4", "d5"]
     assert plain[1] == [Topic("t1", "quake"), Topic("t2", "flood")]

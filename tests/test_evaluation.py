@@ -15,7 +15,6 @@ from oracle import (
 from lotkarank import evaluation
 from lotkarank.evaluation import (
     PRECISION_CUTOFFS,
-    QrelSet,
     Topic,
     parse_qrels,
     parse_topics,
@@ -31,7 +30,7 @@ from lotkarank.rerank import MissingPolicy, Mode, RankingConfig
 def _qrels(topic_id, relevant, judged_irrelevant=()):
     judgments = {(topic_id, doc_id): 1 for doc_id in relevant}
     judgments.update({(topic_id, doc_id): 0 for doc_id in judged_irrelevant})
-    return QrelSet(judgments)
+    return judgments
 
 
 def test_parse_topics_basic():
@@ -87,7 +86,7 @@ def test_parse_qrels_takes_only_ascii_digit_grades(grade):
 
 
 def test_parse_qrels_takes_a_signed_grade():
-    assert parse_qrels(["t1 0 d1 +2", "t1 0 d2 007", "t1 0 d3 -0"]).judgments == {
+    assert parse_qrels(["t1 0 d1 +2", "t1 0 d2 007", "t1 0 d3 -0"]) == {
         ("t1", "d1"): 2, ("t1", "d2"): 7, ("t1", "d3"): 0,
     }
 
@@ -117,7 +116,7 @@ def test_precision_fixtures(doc_ids, relevant, k, expected):
 
 
 def test_precision_ignores_other_topics_judgments():
-    qrels = QrelSet({("other", "a"): 1})
+    qrels = {("other", "a"): 1}
     assert precision_at_k(ranked_list("t", ["a"]), qrels, 1) == 0.0
 
 
@@ -203,7 +202,7 @@ def test_overlap_rejects_k_below_one():
 def test_run_evaluation_single_topic_single_mode():
     suite = make_topic_suite(n_topics=1, docs_per_topic=12, star_docs=5, seed=5)
     index = build_index(suite.records)
-    report = run_evaluation(index, suite.topics, QrelSet(suite.judgments), [RankingConfig(mode=Mode.TFIDF)])
+    report = run_evaluation(index, suite.topics, suite.judgments, [RankingConfig(mode=Mode.TFIDF)])
     assert [run.tag for run in report.runs] == ["tfidf"]
     assert report.topic_ids == [suite.topics[0].topic_id]
     metrics = report.runs[0].per_topic[suite.topics[0].topic_id]
@@ -215,7 +214,7 @@ def test_run_evaluation_requires_configs():
     suite = make_topic_suite(n_topics=1, docs_per_topic=5, star_docs=2, seed=5)
     index = build_index(suite.records)
     with pytest.raises(ValueError):
-        run_evaluation(index, suite.topics, QrelSet(suite.judgments), [])
+        run_evaluation(index, suite.topics, suite.judgments, [])
 
 
 def test_run_evaluation_rejects_duplicate_topic_ids():
@@ -223,7 +222,7 @@ def test_run_evaluation_rejects_duplicate_topic_ids():
     index = build_index(suite.records)
     topics = [Topic(topic_id="t1", query_text="a"), Topic(topic_id="t1", query_text="b")]
     with pytest.raises(ValueError, match="duplicate topic_id 't1'"):
-        run_evaluation(index, topics, QrelSet(suite.judgments), [RankingConfig(mode=Mode.TFIDF)])
+        run_evaluation(index, topics, suite.judgments, [RankingConfig(mode=Mode.TFIDF)])
 
 
 def test_run_evaluation_identical_configs_have_full_overlap():
@@ -233,7 +232,7 @@ def test_run_evaluation_identical_configs_have_full_overlap():
     identical = RankingConfig(mode=Mode.COMBINED, field=EntityField.AUTHOR, k=0.0,
                               missing_policy=MissingPolicy.PASSTHROUGH)
     configs = [RankingConfig(mode=Mode.TFIDF), identical]
-    report = run_evaluation(index, suite.topics, QrelSet(suite.judgments), configs)
+    report = run_evaluation(index, suite.topics, suite.judgments, configs)
     (tag_a, tag_b, mean), = report.mean_overlap
     assert (tag_a, tag_b) == ("tfidf", "combined_k0.0")
     assert mean == 10.0  # every list is 15 long, so min(10, length) per topic
@@ -246,7 +245,18 @@ def test_run_evaluation_rejects_duplicate_run_tags():
                 for field in (EntityField.AUTHOR, EntityField.JOURNAL)]
     for configs, tag in (([RankingConfig(mode=Mode.TFIDF)] * 2, "tfidf"), (combined, "combined_k1.0")):
         with pytest.raises(ValueError, match=f"duplicate run tag '{tag}'"):
-            run_evaluation(index, suite.topics, QrelSet(suite.judgments), configs)
+            run_evaluation(index, suite.topics, suite.judgments, configs)
+
+
+@pytest.mark.parametrize("topic_id,doc_id", [("t001", "d0101"), ("ghost-topic", "d0101"), ("t001", "nowhere")])
+def test_run_evaluation_rejects_a_negative_grade(topic_id, doc_id):
+    # on a topic that is evaluated or not, and on a document that is indexed or not
+    suite = make_topic_suite(n_topics=2, docs_per_topic=8, star_docs=3, seed=9)
+    judgments = {**suite.judgments, (topic_id, doc_id): -1}
+    index = build_index(suite.records)
+    with pytest.raises(ValueError) as info:
+        run_evaluation(index, suite.topics, judgments, [RankingConfig(mode=Mode.TFIDF)])
+    assert str(info.value) == f"negative grade for ({topic_id}, {doc_id})"
 
 
 def test_run_evaluation_counts_unknown_qrel_topics():
@@ -254,7 +264,7 @@ def test_run_evaluation_counts_unknown_qrel_topics():
     judgments = dict(suite.judgments)
     judgments[("ghost-topic", "d0101")] = 1
     index = build_index(suite.records)
-    report = run_evaluation(index, suite.topics, QrelSet(judgments), [RankingConfig(mode=Mode.TFIDF)])
+    report = run_evaluation(index, suite.topics, judgments, [RankingConfig(mode=Mode.TFIDF)])
     assert report.unknown_qrel_topics == 1
 
 
@@ -262,7 +272,7 @@ def test_run_evaluation_empty_result_topic_contributes_zero():
     suite = make_topic_suite(n_topics=2, docs_per_topic=10, star_docs=4, seed=8)
     topics = suite.topics + [Topic(topic_id="t999", query_text="unmatchable-term")]
     index = build_index(suite.records)
-    report = run_evaluation(index, topics, QrelSet(suite.judgments), [RankingConfig(mode=Mode.TFIDF)])
+    report = run_evaluation(index, topics, suite.judgments, [RankingConfig(mode=Mode.TFIDF)])
     run = report.runs[0]
     assert run.per_topic["t999"].retrieved == 0
     assert all(run.per_topic["t999"].precision[k] == 0.0 for k in PRECISION_CUTOFFS)
@@ -274,7 +284,7 @@ def test_run_evaluation_empty_result_topic_contributes_zero():
 def test_run_evaluation_matches_independent_metric_computation():
     suite = make_topic_suite(n_topics=4, docs_per_topic=20, star_docs=8, seed=33)
     index = build_index(suite.records)
-    qrels = QrelSet(suite.judgments)
+    qrels = suite.judgments
     configs = [
         RankingConfig(mode=Mode.TFIDF),
         RankingConfig(mode=Mode.LOTKA),
@@ -321,7 +331,7 @@ def test_run_evaluation_searches_each_topic_once(monkeypatch):
 
     monkeypatch.setattr(evaluation, "search", counting_search)
     configs = [RankingConfig(mode=Mode.TFIDF), RankingConfig(mode=Mode.LOTKA), RankingConfig(mode=Mode.BRADFORD)]
-    report = run_evaluation(index, suite.topics, QrelSet(suite.judgments), configs)
+    report = run_evaluation(index, suite.topics, suite.judgments, configs)
     topic_ids = [topic.topic_id for topic in suite.topics]
     assert searched == topic_ids
     for run in report.runs:
@@ -331,7 +341,7 @@ def test_run_evaluation_searches_each_topic_once(monkeypatch):
 def test_report_csv_shape_and_determinism():
     suite = make_topic_suite(n_topics=3, docs_per_topic=10, star_docs=4, seed=10)
     index = build_index(suite.records)
-    qrels = QrelSet(suite.judgments)
+    qrels = suite.judgments
     configs = [RankingConfig(mode=Mode.TFIDF), RankingConfig(mode=Mode.LOTKA)]
     report_a = run_evaluation(index, suite.topics, qrels, configs)
     report_b = run_evaluation(index, suite.topics, qrels, configs)
@@ -350,7 +360,7 @@ def test_report_table_lists_all_runs():
     report = run_evaluation(
         index,
         suite.topics,
-        QrelSet(suite.judgments),
+        suite.judgments,
         [RankingConfig(mode=Mode.TFIDF), RankingConfig(mode=Mode.BRADFORD)],
     )
     table = report_table(report)
@@ -363,5 +373,4 @@ def test_helpers_round_trip_through_parsers():
     suite = make_topic_suite(n_topics=2, docs_per_topic=6, star_docs=2, seed=3)
     topics = parse_topics(topics_lines(suite.topics))
     assert topics == suite.topics
-    qrels = parse_qrels(qrels_lines(suite.judgments))
-    assert qrels.judgments == suite.judgments
+    assert parse_qrels(qrels_lines(suite.judgments)) == suite.judgments

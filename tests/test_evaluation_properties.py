@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from oracle import is_relevant, overlap_at_k, precision_at_k
 from lotkarank.corpus import DocumentRecord
-from lotkarank.evaluation import OVERLAP_K, PRECISION_CUTOFFS, QrelSet, Topic, run_evaluation
+from lotkarank.evaluation import OVERLAP_K, PRECISION_CUTOFFS, Topic, run_evaluation
 from lotkarank.index import build_index
 from lotkarank.informetrics import EntityField
 from lotkarank.rerank import MissingPolicy, Mode, RankingConfig
@@ -43,7 +43,7 @@ def evaluation_case(draw):
         judgments.update(((topic_id, f"d{i}"), grade) for i, grade in enumerate(grades))
     extra = st.tuples(st.sampled_from(topic_ids + ["t9"]), st.sampled_from(["d0", "missing", f"d{n_docs}"]))
     judgments.update(draw(st.dictionaries(extra, st.integers(0, 2), max_size=4)))
-    return records, topics, QrelSet(judgments)
+    return records, topics, judgments
 
 
 @settings(derandomize=True, deadline=None)
@@ -52,7 +52,7 @@ def test_run_evaluation_matches_per_document_metrics(case):
     records, topics, qrels = case
     report = run_evaluation(build_index(records), topics, qrels, _CONFIGS)
     assert report.topic_ids == [topic.topic_id for topic in topics]
-    assert report.unknown_qrel_topics == len(qrels.topic_ids() - set(report.topic_ids))
+    assert report.unknown_qrel_topics == len({topic_id for topic_id, _ in qrels} - set(report.topic_ids))
     for run in report.runs:
         assert [ranked.query_id for ranked in run.ranked] == report.topic_ids
         for ranked in run.ranked:

@@ -5,10 +5,10 @@ import random
 import numpy as np
 import pytest
 
-from helpers import random_small_corpus
+from helpers import random_small_corpus, ranked_list
 from oracle import naive_doc_ef, naive_entity_counts
 from lotkarank.corpus import DocumentRecord
-from lotkarank.index import ResultSet, build_index, search
+from lotkarank.index import build_index, search
 from lotkarank.informetrics import (
     EntityField,
     EntityFrequencyTable,
@@ -33,7 +33,7 @@ def _corpus_with(docs_spec):
 
 def test_empty_result_set_gives_empty_table():
     index, _ = _corpus_with([("d1", ["A"], None)])
-    table = entity_frequencies(ResultSet(query_id="q"), EntityField.AUTHOR, index)
+    table = entity_frequencies(ranked_list("q", []), EntityField.AUTHOR, index)
     assert table.counts == {}
     assert table.covered_docs == 0
 
