@@ -73,8 +73,15 @@ _BAD_CORPORA = {  # one per check of the corpus parser, each refused by index
     "bad.author-empty.jsonl": b'{"id": "d1", "title": "a", "body": "", "authors": [" "]}\n',
     "bad.author-twice.jsonl": b'{"id": "d1", "title": "a", "body": "", "authors": ["Ada", " Ada"]}\n',
     "bad.issn.jsonl": b'{"id": "d1", "title": "a", "body": "", "authors": [], "issn": 5}\n',
+    "bad.journal.jsonl": b'{"id": "d1", "title": "a", "body": "", "authors": [], "journal": 5}\n',
     "bad.year.jsonl": b'{"id": "d1", "title": "a", "body": "", "authors": [], "year": "1999"}\n',
     "bad.surrogate.jsonl": b'{"id": "d1", "title": "a \\ud800", "body": "", "authors": []}\n',
+    "bad.journal-surrogate.jsonl": b'{"id": "d1", "title": "a", "body": "", "authors": [], "journal": "J\\ud800"}\n',
+    "bad.publisher-surrogate.jsonl":
+        b'{"id": "d1", "title": "a", "body": "", "authors": [], "publisher": "\\udfffP"}\n',
+    # two lone surrogates: the author is named, as it comes before the issn
+    "bad.author-surrogate.jsonl":
+        b'{"id": "d1", "title": "a", "body": "", "authors": ["Ada", "B\\udc00"], "issn": "1234-\\ud800"}\n',
     "bad.duplicate.jsonl": b'{"id": "d1", "title": "a", "body": "", "authors": []}\n' * 2,
     "bad.empty.jsonl": b"",
     "bad.utf8.jsonl": b"\xff\n",
