@@ -181,6 +181,8 @@ def _commands(queries):
                     yield ["rerank", *on, "--query-id", f"q{i}", "--mode", "combined", "--field", field,
                            "--k", k, "--missing", missing, "--out", f"q{i}.{field}.{k}.{missing}.run"]
             yield ["analyze", *on, "--field", field, "--out", f"q{i}.{field}"]  # exits 2 for "zzz"
+    # search prints no query id, so --query-id, even one that is not one word, changes nothing
+    yield ["search", "--index", "c.idx", "--query", "w001", "--query-id", "a b", "--top", "5"]
     for field in _FIELDS:
         yield ["eval", "--index", "c.idx", "--topics", "topics.tsv", "--qrels", "qrels.txt",
                "--modes", "tfidf,brad,lotka,combined", "--field", field, "--out", f"eval.{field}"]
