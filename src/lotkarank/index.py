@@ -9,15 +9,13 @@ returns one too, and the (doc_id, score, rank) view is built on access.
 The postings are one CSR table: row r of term t (``_term_ids[t]``) spans
 ``_ptr[r]:_ptr[r + 1]`` of the flat ``_docs`` (doc positions in doc_id
 order) and ``_tfs`` (term counts) arrays, and df is the row length.
-Positions, row offsets and counts are each stored in the narrowest
-unsigned type that holds their largest possible value.
 ``InvertedIndex.postings(term)`` is the one way to read a row.
 
 The entity fields are code tables built in the same pass: each field's
 distinct values are numbered in name order (``_journal_names``,
-``_author_names``); ``_journal_codes`` holds one int32 code per document
+``_author_names``); ``_journal_codes`` holds one code per document
 (-1 when it has no journal) and the authors are a CSR table (``_author_ptr``
-offsets into the flat int32 ``_author_codes``). ``InvertedIndex.entity_codes``
+offsets into the flat ``_author_codes``). ``InvertedIndex.entity_codes``
 is the one way to read them.
 
 The index holds no document records: a document is its position and its
@@ -25,9 +23,12 @@ doc_id (``_doc_ids``, sorted), and ``InvertedIndex.position`` maps one to
 the other.
 
 ``InvertedIndex(...)`` takes these tables, with row lengths in place of
-the two offset tables, and is the one place that sets them and stores
-each integer table in its type; ``build_index`` computes the tables from
-records and ``InvertedIndex.load`` checks them from a file.
+the two offset tables, and is the one place that sets them and types
+them, by one rule: each integer table is held in the narrowest type that
+holds its largest possible value, unsigned except ``_journal_codes``,
+which is signed as it holds -1. A code table is saved as it is held, and
+a loaded one is kept as it was read. ``build_index`` computes the tables
+from records and ``InvertedIndex.load`` checks them from a file.
 
 A saved index (layout ``lotkarank-index/6``) is an uncompressed zip of
 ``.npy`` members, as ``np.savez`` writes, but with a fixed timestamp so
@@ -185,8 +186,9 @@ class InvertedIndex:
         doc_ids is sorted and term_ids maps each term to its row. df holds
         each row's length and author_counts each document's number of
         authors; the offsets are their cumulative sums. The integer tables
-        may come in any integer type; each is stored in the type the module
-        docstring names.
+        may come in any integer type; each is held in the narrowest type
+        that holds its largest possible value (a table already in it is
+        kept, not copied): unsigned, except the journal codes, signed for -1.
         """
         self.corpus_size = len(doc_ids)
         self._doc_ids = doc_ids
@@ -196,11 +198,11 @@ class InvertedIndex:
         self._docs = _narrow(docs, self.corpus_size - 1)
         self._tfs = _narrow(tfs, tfs.max(initial=0))  # initial=0: an index may have no postings
         self._journal_names = journal_names
-        self._journal_codes = journal_codes.astype(np.int32, copy=False)
+        self._journal_codes = journal_codes.astype(np.min_scalar_type(-max(len(journal_names), 1)), copy=False)
         self._author_names = author_names
-        self._author_ptr = np.zeros(len(author_counts) + 1, dtype=np.int64)
-        np.cumsum(author_counts, dtype=np.int64, out=self._author_ptr[1:])
-        self._author_codes = author_codes.astype(np.int32, copy=False)
+        self._author_ptr = np.zeros(len(author_counts) + 1, dtype=np.min_scalar_type(len(author_codes)))
+        np.cumsum(author_counts, dtype=self._author_ptr.dtype, out=self._author_ptr[1:])
+        self._author_codes = _narrow(author_codes, max(len(author_names) - 1, 0))
 
     def postings(self, term: str):
         """(doc positions, tfs) of the term, sorted by doc_id; None if not indexed."""
@@ -232,7 +234,7 @@ class InvertedIndex:
         sizes = self._author_ptr[positions + 1] - starts
         owners = np.repeat(np.arange(len(positions), dtype=np.intp), sizes)
         # each code's flat index: its document's start plus its offset within the document
-        offsets = np.cumsum(sizes) - sizes
+        offsets = np.cumsum(sizes, dtype=np.intp) - sizes
         flat = np.arange(len(owners)) + (starts - offsets)[owners]
         return self._author_codes[flat], owners, self._author_names
 
@@ -252,16 +254,13 @@ class InvertedIndex:
         members.update(zip(_STRING_LISTS, map(_pack_strings, strings)))
         df, author_counts = np.diff(self._ptr), np.diff(self._author_ptr)
         # the postings whose tf is above 1, each as its distance from the previous one
-        # (the first from posting 0); their tfs are already in the narrowest type
+        # (the first from posting 0); the held tables are already in their saved types
         above = np.flatnonzero(self._tfs > 1)
         tf_gaps = np.diff(above, prepend=0)
         arrays = (
             _narrow(df, df.max(initial=0)), self._docs,
-            _narrow(tf_gaps, tf_gaps.max(initial=0)), self._tfs[above],
-            # the narrowest signed type that holds -1 and the last code
-            self._journal_codes.astype(np.min_scalar_type(-max(len(self._journal_names), 1))),
-            _narrow(author_counts, author_counts.max(initial=0)),
-            _narrow(self._author_codes, max(len(self._author_names) - 1, 0)),
+            _narrow(tf_gaps, tf_gaps.max(initial=0)), self._tfs[above], self._journal_codes,
+            _narrow(author_counts, author_counts.max(initial=0)), self._author_codes,
         )
         members.update(zip(_ARRAYS, arrays))
         return members

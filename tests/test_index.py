@@ -572,6 +572,8 @@ def test_load_checks_every_members_crc(tmp_path, trailing):
     ("tf_values", 1, np.uint8), ("tf_values", 2, np.uint8),
     ("tf_values", 255, np.uint8), ("tf_values", 256, np.uint16),
     ("tf_gaps", 255, np.uint8), ("tf_gaps", 256, np.uint16),  # postings between two counts above 1
+    # author codes in all, so the last author offset: the held _author_ptr, which is not saved
+    ("author_ptr", 65_535, np.uint16), ("author_ptr", 65_536, np.uint32),
 ])
 def test_layout_round_trips_at_type_edges(tmp_path, member, size, dtype):
     names = [f"n{i:03d}" for i in range(size)]
@@ -590,24 +592,53 @@ def test_layout_round_trips_at_type_edges(tmp_path, member, size, dtype):
         records.append(_doc("zz", "other"))  # and one document without a journal
     elif member == "author_codes":
         records = [_doc(f"d{i:03d}", "shared", authors=[name]) for i, name in enumerate(names)]
+    elif member == "author_ptr":
+        records = None  # 65,536 authors through build_index would be slow: the tables directly
     else:
         records = [_doc(f"d{i:03d}", "shared") for i in range(size)] + [_doc("zz", "other")]
-    index = build_index(records)
-    assert index._members()[member].dtype == dtype
+    index = _authors_index(size) if records is None else build_index(records)
+    held = index._author_ptr if member == "author_ptr" else index._members()[member]
+    assert held.dtype == dtype
     if member in ("tf_gaps", "tf_values"):
         assert {name: index._members()[name].tolist() for name in tf_members} == tf_members
     path = tmp_path / "edge.idx"
     index.save(path)
     loaded = InvertedIndex.load(path)
     assert loaded == index
-    positions = np.arange(index.corpus_size)[::-1]
-    for field in EntityField:
-        (codes, owners, names), (want_codes, want_owners, want_names) = (
-            idx.entity_codes(field, positions) for idx in (loaded, index)
-        )
-        assert (codes.tolist(), owners.tolist(), names) == (want_codes.tolist(), want_owners.tolist(), want_names)
-        assert (codes.dtype, owners.dtype) == (want_codes.dtype, want_owners.dtype)
+    for idx in (index, loaded):
+        # each code table is held in the type it is saved in, and saved as held, not copied
+        members = idx._members()
+        for name in ("journal_codes", "author_codes"):
+            assert members[name] is getattr(idx, f"_{name}")
+        assert idx._author_ptr.dtype == np.min_scalar_type(len(idx._author_codes))
+    # each document's authors in turn, read from the saved counts and codes
+    codes_left = iter(index._members()["author_codes"].tolist())
+    by_doc = [[next(codes_left) for _ in range(count)] for count in index._members()["author_counts"].tolist()]
+    rng = np.random.default_rng(size)
+    for positions in (np.arange(index.corpus_size)[::-1], rng.permutation(index.corpus_size)[:index.corpus_size // 2]):
+        for field in EntityField:
+            (codes, owners, names), (want_codes, want_owners, want_names) = (
+                idx.entity_codes(field, positions) for idx in (loaded, index)
+            )
+            assert (codes.tolist(), owners.tolist(), names) == (want_codes.tolist(), want_owners.tolist(), want_names)
+            assert (codes.dtype, owners.dtype) == (want_codes.dtype, want_owners.dtype)
+        codes, owners, _ = loaded.entity_codes(EntityField.AUTHOR, positions)
+        assert list(zip(codes.tolist(), owners.tolist())) == [
+            (code, i) for i, pos in enumerate(positions.tolist()) for code in by_doc[pos]
+        ]
+        assert owners.dtype == np.intp
     assert same_ranking(search("shared", loaded), search("shared", index))
+
+
+def _authors_index(size):
+    """An index over 300 documents holding size author codes in all; the first document has none."""
+    n, rng = 300, np.random.default_rng(7)
+    author_counts = np.bincount(rng.integers(1, n, size=size), minlength=n)
+    author_names = [f"a{i:03d}" for i in range(n)]
+    # "shared" in every document but the last, "other" in the last
+    return InvertedIndex([f"d{i:03d}" for i in range(n)], {"shared": 0, "other": 1}, np.array([n - 1, 1]),
+                         np.arange(n), np.ones(n, dtype=np.int64), [], np.full(n, -1), author_names,
+                         author_counts, rng.integers(0, n, size=size))
 
 
 def test_load_rejects_compressed_member(tmp_path):
