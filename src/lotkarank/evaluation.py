@@ -6,8 +6,9 @@ over topics, with empty result sets contributing zero.
 """
 import csv
 import io
+import itertools
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,6 +85,8 @@ def load_qrels(path) -> dict[tuple[str, str], int]:
 
 @dataclass
 class TopicMetrics:
+    """One report row: a topic's counts and precision@k, or the ALL row's sums and mean precisions."""
+
     retrieved: int
     relevant_retrieved: int
     dropped: int
@@ -92,15 +95,12 @@ class TopicMetrics:
 
 @dataclass
 class RunResult:
-    """Per-topic and aggregate metrics for one ranking configuration."""
+    """One ranking configuration's ranked lists and report rows."""
 
     tag: str
-    per_topic: dict[str, TopicMetrics] = field(default_factory=dict)
-    ranked: list[ResultSet] = field(default_factory=list)  # one per topic, in topic order
-    macro_precision: dict[int, float] = field(default_factory=dict)
-    retrieved: int = 0
-    relevant_retrieved: int = 0
-    dropped: int = 0
+    per_topic: dict[str, TopicMetrics]
+    ranked: list[ResultSet]  # one per topic, in topic order
+    total: TopicMetrics  # the ALL row
 
 
 @dataclass
@@ -108,12 +108,15 @@ class EvalReport:
     topic_ids: list[str]
     runs: list[RunResult]
     mean_overlap: list[tuple[str, str, float]]  # pairwise mean top-10 overlap
-    unknown_qrel_topics: int = 0
+    unknown_qrel_topics: int
 
 
 def run_evaluation(index: InvertedIndex, topics, qrels: dict[tuple[str, str], int], configs) -> EvalReport:
     """Search every topic once, rerank it under every config and collect metrics.
 
+    Each RunResult holds one TopicMetrics per topic and its ALL row (total):
+    the counts summed and the precisions, like the pairwise top-10 overlaps,
+    averaged over all topics. With no topics every mean is 0.0.
     qrels maps (topic_id, doc_id) to a grade, as load_qrels returns it; a
     negative grade is a ValueError. Topic ids and the configs' run tags
     must be unique. Qrel topics that do not appear in the topic list are
@@ -149,44 +152,40 @@ def run_evaluation(index: InvertedIndex, topics, qrels: dict[tuple[str, str], in
             except KeyError:
                 pass
 
-    runs = [RunResult(tag=config.run_tag) for config in configs]
+    per_topic = [{} for _ in configs]  # per config: topic_id -> TopicMetrics
+    ranked_lists = [[] for _ in configs]  # per config: one ResultSet per topic
     for topic in topics:
         rs = search(topic.query_text, index, query_id=topic.topic_id)
         relevant = np.zeros(index.corpus_size, dtype=bool)
         relevant[judged[topic.topic_id]] = True
-        for config, run in zip(configs, runs):
+        for config, rows, ranked_list in zip(configs, per_topic, ranked_lists):
             ranked = rerank(rs, config, index)
-            run.ranked.append(ranked)
+            ranked_list.append(ranked)
             hits = relevant[ranked.positions]
             # found[i]: relevant documents among the top i
             found = [0, *np.cumsum(hits[:PRECISION_CUTOFFS[-1]]).tolist()]
-            run.per_topic[topic.topic_id] = TopicMetrics(
+            rows[topic.topic_id] = TopicMetrics(
                 retrieved=ranked.set_size,
                 relevant_retrieved=int(np.count_nonzero(hits)),
                 dropped=ranked.dropped,
                 precision={k: found[min(k, len(found) - 1)] / k for k in PRECISION_CUTOFFS},
             )
-    n_topics = len(topics)
-    for run in runs:
-        run.macro_precision = {
-            k: (sum(m.precision[k] for m in run.per_topic.values()) / n_topics if n_topics else 0.0)
-            for k in PRECISION_CUTOFFS
-        }
-        run.retrieved = sum(m.retrieved for m in run.per_topic.values())
-        run.relevant_retrieved = sum(m.relevant_retrieved for m in run.per_topic.values())
-        run.dropped = sum(m.dropped for m in run.per_topic.values())
-
-    overlaps = []
-    for i in range(len(configs)):
-        for j in range(i + 1, len(configs)):
-            if topic_ids:
-                mean = sum(
-                    np.intersect1d(a.positions[:OVERLAP_K], b.positions[:OVERLAP_K], assume_unique=True).size
-                    for a, b in zip(runs[i].ranked, runs[j].ranked)
-                ) / len(topic_ids)
-            else:
-                mean = 0.0
-            overlaps.append((runs[i].tag, runs[j].tag, mean))
+    n_topics = max(len(topics), 1)  # with no topics every sum is 0, so every mean is 0.0
+    runs = [
+        RunResult(config.run_tag, rows, ranked_list, TopicMetrics(
+            retrieved=sum(m.retrieved for m in rows.values()),
+            relevant_retrieved=sum(m.relevant_retrieved for m in rows.values()),
+            dropped=sum(m.dropped for m in rows.values()),
+            precision={k: sum(m.precision[k] for m in rows.values()) / n_topics for k in PRECISION_CUTOFFS},
+        ))
+        for config, rows, ranked_list in zip(configs, per_topic, ranked_lists)
+    ]
+    overlaps = [
+        (a.tag, b.tag, sum(
+            np.intersect1d(x.positions[:OVERLAP_K], y.positions[:OVERLAP_K], assume_unique=True).size
+            for x, y in zip(a.ranked, b.ranked)) / n_topics)
+        for a, b in itertools.combinations(runs, 2)
+    ]
 
     return EvalReport(
         topic_ids=topic_ids,
@@ -208,17 +207,12 @@ def report_csv(report: EvalReport) -> str:
         ["topic_id", "run", "retrieved", "relevant_retrieved", "dropped"]
         + [f"p{k}" for k in PRECISION_CUTOFFS]
     )
-    for topic_id in report.topic_ids:
-        for run in report.runs:
-            m = run.per_topic[topic_id]
-            writer.writerow(
-                [topic_id, run.tag, m.retrieved, m.relevant_retrieved, m.dropped]
-                + [f"{m.precision[k]:.6f}" for k in PRECISION_CUTOFFS]
-            )
-    for run in report.runs:
+    rows = [(topic_id, run.tag, run.per_topic[topic_id]) for topic_id in report.topic_ids for run in report.runs]
+    rows += [("ALL", run.tag, run.total) for run in report.runs]
+    for topic_id, tag, m in rows:
         writer.writerow(
-            ["ALL", run.tag, run.retrieved, run.relevant_retrieved, run.dropped]
-            + [f"{run.macro_precision[k]:.6f}" for k in PRECISION_CUTOFFS]
+            [topic_id, tag, m.retrieved, m.relevant_retrieved, m.dropped]
+            + [f"{m.precision[k]:.6f}" for k in PRECISION_CUTOFFS]
         )
     return buf.getvalue()
 
@@ -230,12 +224,13 @@ def report_table(report: EvalReport) -> str:
     lines.append(header)
     for run in report.runs:
         lines.append(
-            f"{run.tag:<18}" + "".join(f"{run.macro_precision[k]:>8.4f}" for k in PRECISION_CUTOFFS)
+            f"{run.tag:<18}" + "".join(f"{run.total.precision[k]:>8.4f}" for k in PRECISION_CUTOFFS)
         )
     lines.append("")
     lines.append(f"{'run':<18}{'retrieved':>10}{'relevant':>10}{'dropped':>10}")
     for run in report.runs:
-        lines.append(f"{run.tag:<18}{run.retrieved:>10}{run.relevant_retrieved:>10}{run.dropped:>10}")
+        m = run.total
+        lines.append(f"{run.tag:<18}{m.retrieved:>10}{m.relevant_retrieved:>10}{m.dropped:>10}")
     if report.mean_overlap:
         lines.append("")
         lines.append(f"mean top-{OVERLAP_K} overlap")

@@ -1,6 +1,8 @@
 """Synthetic corpus generators and other fixtures shared by the unit and acceptance tests."""
+import io
 import json
 import random
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,6 +195,23 @@ class CreatesFileOnUnpickle:
 
     def __reduce__(self):
         return (open, (self.path, "w"))
+
+
+def index_zip(members, version=None) -> bytes:
+    """A stored zip of .npy members, as save writes an index.
+
+    An array member is written in the given .npy version (numpy's choice if
+    None); a bytes member is the member's whole .npy file, written as given.
+    """
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w", zipfile.ZIP_STORED) as archive:
+        for name, value in members.items():
+            with archive.open(zipfile.ZipInfo(f"{name}.npy", date_time=(1980, 1, 1, 0, 0, 0)), "w") as member:
+                if isinstance(value, bytes):
+                    member.write(value)
+                else:
+                    np.lib.format.write_array(member, value, version=version, allow_pickle=False)
+    return buffer.getvalue()
 
 
 def serialize_corpus(records) -> str:

@@ -94,17 +94,6 @@ def naive_rerank(records, entries, mode, field_name=None, k=1.0, missing="drop")
     return [(doc_id, score, rank) for rank, (doc_id, score) in enumerate(scored, start=1)], dropped
 
 
-def naive_precision(entries, relevant_doc_ids, k):
-    hits = sum(1 for doc_id, _, _ in entries[:k] if doc_id in relevant_doc_ids)
-    return hits / k
-
-
-def naive_overlap(entries_a, entries_b, k):
-    ids_a = {doc_id for doc_id, _, _ in entries_a[:k]}
-    ids_b = {doc_id for doc_id, _, _ in entries_b[:k]}
-    return len(ids_a & ids_b)
-
-
 def is_relevant(qrels, topic_id, doc_id):
     """Whether the qrels judge the document relevant to the topic (grade > 0)."""
     return qrels.get((topic_id, doc_id), 0) > 0

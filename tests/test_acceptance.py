@@ -172,10 +172,10 @@ def test_directional_author_rerank_improvement():
     )
     tfidf_run, lotka_run = report.runs
     assert len(report.topic_ids) == 25
-    assert lotka_run.macro_precision[5] > tfidf_run.macro_precision[5]
-    assert lotka_run.macro_precision[10] > tfidf_run.macro_precision[10]
-    assert lotka_run.macro_precision[20] >= tfidf_run.macro_precision[20]
-    assert lotka_run.macro_precision[30] >= tfidf_run.macro_precision[30]
+    assert lotka_run.total.precision[5] > tfidf_run.total.precision[5]
+    assert lotka_run.total.precision[10] > tfidf_run.total.precision[10]
+    assert lotka_run.total.precision[20] >= tfidf_run.total.precision[20]
+    assert lotka_run.total.precision[30] >= tfidf_run.total.precision[30]
 
 
 @criterion("tf-idf and author-rerank top-10 sets are not identical")

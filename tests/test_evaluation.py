@@ -3,19 +3,12 @@ import random
 import pytest
 
 from helpers import make_topic_suite, qrels_lines, random_small_corpus, ranked_list, topics_lines
-from oracle import (
-    is_relevant,
-    naive_overlap,
-    naive_precision,
-    naive_rerank,
-    naive_search,
-    overlap_at_k,
-    precision_at_k,
-)
+from oracle import is_relevant, naive_rerank, naive_search, overlap_at_k, precision_at_k
 from lotkarank import evaluation
 from lotkarank.evaluation import (
     PRECISION_CUTOFFS,
     Topic,
+    TopicMetrics,
     parse_qrels,
     parse_topics,
     report_csv,
@@ -276,9 +269,28 @@ def test_run_evaluation_empty_result_topic_contributes_zero():
     run = report.runs[0]
     assert run.per_topic["t999"].retrieved == 0
     assert all(run.per_topic["t999"].precision[k] == 0.0 for k in PRECISION_CUTOFFS)
-    # macro mean still divides by all three topics
-    manual = sum(run.per_topic[t].precision[5] for t in report.topic_ids) / 3
-    assert run.macro_precision[5] == manual
+    # the ALL row's mean still divides by all three topics
+    for k in PRECISION_CUTOFFS:
+        assert run.total.precision[k] == sum(run.per_topic[t].precision[k] for t in report.topic_ids) / 3
+
+
+def test_run_evaluation_without_topics_reports_zeros():
+    suite = make_topic_suite(n_topics=2, docs_per_topic=5, star_docs=2, seed=5)
+    index = build_index(suite.records)
+    configs = [RankingConfig(mode=Mode.TFIDF), RankingConfig(mode=Mode.LOTKA), RankingConfig(mode=Mode.BRADFORD)]
+    report = run_evaluation(index, [], suite.judgments, configs)
+    assert report.topic_ids == []
+    assert report.unknown_qrel_topics == 2
+    zero = TopicMetrics(retrieved=0, relevant_retrieved=0, dropped=0, precision=dict.fromkeys(PRECISION_CUTOFFS, 0.0))
+    for run in report.runs:
+        assert run.per_topic == {} and run.ranked == [] and run.total == zero
+        assert all(type(p) is float for p in run.total.precision.values())
+    assert report.mean_overlap == [("tfidf", "lotka", 0.0), ("tfidf", "brad", 0.0), ("lotka", "brad", 0.0)]
+    assert all(type(mean) is float for _, _, mean in report.mean_overlap)
+    assert report_csv(report).splitlines() == [
+        "topic_id,run,retrieved,relevant_retrieved,dropped,p5,p10,p20,p30,p100",
+        *(f"ALL,{tag},0,0,0" + ",0.000000" * len(PRECISION_CUTOFFS) for tag in ("tfidf", "lotka", "brad")),
+    ]
 
 
 def test_run_evaluation_matches_independent_metric_computation():
@@ -296,25 +308,23 @@ def test_run_evaluation_matches_independent_metric_computation():
     naive_lists = {}
     for i, topic in enumerate(suite.topics):
         base = naive_search(suite.records, topic.query_text)
-        relevant = {d for (t, d), g in suite.judgments.items() if t == topic.topic_id and g > 0}
         for run, mode_name in zip(report.runs, mode_names):
             entries, dropped = naive_rerank(suite.records, base, mode_name, "author", 1.0)
-            naive_lists[(topic.topic_id, run.tag)] = entries
+            expected = ranked_list(topic.topic_id, [doc_id for doc_id, _, _ in entries])
+            naive_lists[(topic.topic_id, run.tag)] = expected
             ranked = run.ranked[i]
             assert ranked.query_id == topic.topic_id
             assert [(d, r) for d, _, r in ranked.entries] == [(d, r) for d, _, r in entries]
             metrics = run.per_topic[topic.topic_id]
             assert metrics.retrieved == len(entries)
             assert metrics.dropped == dropped
-            assert metrics.relevant_retrieved == sum(
-                1 for doc_id, _, _ in entries if doc_id in relevant
-            )
+            assert metrics.relevant_retrieved == sum(is_relevant(qrels, topic.topic_id, d) for d in expected.doc_ids())
             for k in PRECISION_CUTOFFS:
-                assert metrics.precision[k] == naive_precision(entries, relevant, k)
+                assert metrics.precision[k] == precision_at_k(expected, qrels, k)
 
     for tag_a, tag_b, mean in report.mean_overlap:
         manual = sum(
-            naive_overlap(naive_lists[(t, tag_a)], naive_lists[(t, tag_b)], 10)
+            overlap_at_k(naive_lists[(t, tag_a)], naive_lists[(t, tag_b)], 10)
             for t in report.topic_ids
         ) / len(report.topic_ids)
         assert mean == manual

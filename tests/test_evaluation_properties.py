@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from oracle import is_relevant, overlap_at_k, precision_at_k
 from lotkarank.corpus import DocumentRecord
-from lotkarank.evaluation import OVERLAP_K, PRECISION_CUTOFFS, Topic, run_evaluation
+from lotkarank.evaluation import OVERLAP_K, PRECISION_CUTOFFS, Topic, TopicMetrics, run_evaluation
 from lotkarank.index import build_index
 from lotkarank.informetrics import EntityField
 from lotkarank.rerank import MissingPolicy, Mode, RankingConfig
@@ -61,6 +61,14 @@ def test_run_evaluation_matches_per_document_metrics(case):
             assert metrics.relevant_retrieved == sum(is_relevant(qrels, ranked.query_id, d) for d in ranked.doc_ids())
             assert metrics.dropped == ranked.dropped
             assert metrics.precision == {k: precision_at_k(ranked, qrels, k) for k in PRECISION_CUTOFFS}
+        # the ALL row: the topics' counts summed, and each precision their mean over all topics
+        assert run.total == TopicMetrics(
+            retrieved=sum(len(ranked.doc_ids()) for ranked in run.ranked),
+            relevant_retrieved=sum(is_relevant(qrels, r.query_id, d) for r in run.ranked for d in r.doc_ids()),
+            dropped=sum(ranked.dropped for ranked in run.ranked),
+            precision={k: sum(precision_at_k(ranked, qrels, k) for ranked in run.ranked) / len(topics)
+                       for k in PRECISION_CUTOFFS},
+        )
     by_tag = {run.tag: run.ranked for run in report.runs}
     for tag_a, tag_b, mean in report.mean_overlap:
         pairs = list(zip(by_tag[tag_a], by_tag[tag_b]))

@@ -20,12 +20,11 @@ import os
 import pickle
 import random
 import tempfile
-import zipfile
 from pathlib import Path
 
 import numpy as np
 
-from helpers import make_power_law_corpus, qrels_lines, save_corpus
+from helpers import index_zip, make_power_law_corpus, qrels_lines, save_corpus
 from lotkarank.cli import main
 from lotkarank.corpus import DocumentRecord, tokenize
 from lotkarank.index import build_index
@@ -136,29 +135,19 @@ def _unicode_inputs():
     Path("none.tsv").write_bytes(b"")
 
 
-def _index_zip(members, version=(1, 0)) -> bytes:
-    """A stored zip of the arrays as .npy members, in the given .npy version, as save writes an index."""
-    buffer = io.BytesIO()
-    with zipfile.ZipFile(buffer, "w", zipfile.ZIP_STORED) as archive:
-        for name, array in members.items():
-            with archive.open(zipfile.ZipInfo(f"{name}.npy", date_time=(1980, 1, 1, 0, 0, 0)), "w") as member:
-                np.lib.format.write_array(member, array, version=version)
-    return buffer.getvalue()
-
-
 def _bad_inputs():
     """Write every input of the exit-1 cases, so that none of them is a file a command created."""
     for name, data in {**_BAD_CORPORA, **_BAD_TOPICS, **_BAD_QRELS}.items():
         Path(name).write_bytes(data)
-    layout5 = _index_zip({"format": np.frombuffer(b"lotkarank-index/5", dtype=np.uint8)})
+    layout5 = index_zip({"format": np.frombuffer(b"lotkarank-index/5", dtype=np.uint8)})
     members = build_index([DocumentRecord(doc_id="d1", title="a")])._members()
     indexes = {
         "bad.text.idx": b"not an index\n",
         "bad.pickle.idx": pickle.dumps({"terms": []}, protocol=2),
         "bad.layout5.idx": layout5,
         "bad.truncated.idx": layout5[:layout5.rfind(b"PK\x01\x02")],  # cut where the directory starts
-        "bad.npy2.idx": _index_zip(members, version=(2, 0)),
-        "bad.utf8.idx": _index_zip({**members, "terms": np.frombuffer(b"\xff\n", dtype=np.uint8)}),
+        "bad.npy2.idx": index_zip(members, version=(2, 0)),
+        "bad.utf8.idx": index_zip({**members, "terms": np.frombuffer(b"\xff\n", dtype=np.uint8)}),
     }
     for name in _BAD_INDEXES:
         Path(name).write_bytes(indexes[name])

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import lotkarank
-from helpers import CreatesFileOnUnpickle, random_small_corpus, same_ranking
+from helpers import CreatesFileOnUnpickle, index_zip, random_small_corpus, same_ranking
 from oracle import naive_search, naive_tokenize
 from lotkarank.corpus import DocumentRecord, EntityField
 from lotkarank.index import InvertedIndex, _pack_strings, build_index, descending, search
@@ -352,13 +352,6 @@ def _npy(array, version=None):
     return buffer.getvalue()
 
 
-def _write_members(path, members):
-    """A zip of stored (uncompressed) .npy members; a bytes value is the member's whole .npy file."""
-    with zipfile.ZipFile(path, "w") as archive:
-        for name, value in members.items():
-            archive.writestr(f"{name}.npy", value if isinstance(value, bytes) else _npy(value))
-
-
 def test_layout_index_members():
     # the arrays the corruption cases below start from
     members = _layout_index()._members()
@@ -485,7 +478,7 @@ def test_load_rejects_inconsistent_member(tmp_path, case):
         else:
             members[name] = value
     path = tmp_path / "bad.idx"
-    _write_members(path, members)
+    path.write_bytes(index_zip(members))
     with pytest.raises(ValueError) as info:
         InvertedIndex.load(path)
     message = str(info.value)
@@ -523,15 +516,10 @@ def _load_capped(path):
 ])
 def test_load_checks_npy_header_before_allocating(tmp_path, shape, reason):
     # df's header claims 2**31 int64 values (16 GiB), but the member holds only the header
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(header, {"descr": "<i8", "fortran_order": False, "shape": shape})
     path = tmp_path / "hostile.idx"
-    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as archive:
-        for name, array in _layout_index()._members().items():
-            with archive.open(f"{name}.npy", "w") as member:
-                if name == "df":
-                    header = {"descr": "<i8", "fortran_order": False, "shape": shape}
-                    np.lib.format.write_array_header_1_0(member, header)
-                else:
-                    np.lib.format.write_array(member, array, allow_pickle=False)
+    path.write_bytes(index_zip({**_layout_index()._members(), "df": header.getvalue()}))
     assert path.stat().st_size < 4096
     message = _load_capped(path)
     assert message == f"{path} is not a valid index: {reason}; rebuild it with `lotkarank index`"
@@ -548,7 +536,7 @@ def test_load_checks_every_members_crc(tmp_path, trailing):
     assert tf_values.tolist() == [2] * 6000
     members = {**index._members(), "tf_values": _npy(tf_values) + bytes(trailing)}
     path = tmp_path / "flipped.idx"
-    _write_members(path, members)
+    path.write_bytes(index_zip(members))
     with zipfile.ZipFile(path) as archive:
         start = archive.getinfo("tf_values.npy").header_offset
     raw = bytearray(path.read_bytes())
@@ -673,7 +661,7 @@ def test_load_accepts_members_in_wider_integer_types(tmp_path):
     }
     members["docs"] = members["docs"].astype(np.uint64)
     path = tmp_path / "wide.idx"
-    _write_members(path, members)
+    path.write_bytes(index_zip(members))
     loaded = InvertedIndex.load(path)
     assert loaded == index
     for name in ("_ptr", "_docs", "_tfs", "_journal_codes", "_author_ptr", "_author_codes"):
