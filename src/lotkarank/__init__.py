@@ -23,7 +23,6 @@ __version__ = "0.1.0"
 # that never evaluates never compiles it
 _EVALUATION_NAMES = (
     "EvalReport",
-    "Topic",
     "load_qrels",
     "load_topics",
     "parse_qrels",

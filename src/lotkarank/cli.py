@@ -134,7 +134,8 @@ def _cmd_eval(args) -> int:
         for name in mode_names
     ]
     reports = [f"{args.out}.report.csv", f"{args.out}.report.txt"]
-    _refuse_inputs_as_outputs(reports + [f"{args.out}.{config.run_tag}.run" for config in configs],
+    run_files = [f"{args.out}.{config.run_tag}.run" for config in configs]  # report.runs follow configs
+    _refuse_inputs_as_outputs(reports + run_files,
                               {"--index": args.index, "--topics": args.topics, "--qrels": args.qrels})
     index = InvertedIndex.load(args.index)
     topics = load_topics(args.topics)
@@ -142,8 +143,8 @@ def _cmd_eval(args) -> int:
 
     report = run_evaluation(index, topics, qrels, configs)
     write_report(report, *reports)
-    for run in report.runs:
-        write_run_file(run.ranked, f"{args.out}.{run.tag}.run")
+    for run, path in zip(report.runs, run_files):
+        write_run_file(run.ranked, path)
     print(f"topics={len(topics)} runs={len(configs)} report={reports[0]}")
     return 0
 

@@ -21,16 +21,9 @@ PRECISION_CUTOFFS = (5, 10, 20, 30, 100)
 OVERLAP_K = 10
 
 
-@dataclass
-class Topic:
-    topic_id: str
-    query_text: str
-
-
-def parse_topics(lines) -> list[Topic]:
-    """Parse 'topic_id<TAB>query_text' lines; blank lines are skipped."""
-    topics = []
-    seen = set()
+def parse_topics(lines) -> dict[str, str]:
+    """Parse 'topic_id<TAB>query_text' lines into {topic_id: query_text} in file order; skip blank lines."""
+    topics = {}
     for lineno, line in enumerate(lines, start=1):
         line = line.rstrip("\n")
         if not line.strip():
@@ -43,14 +36,14 @@ def parse_topics(lines) -> list[Topic]:
             raise ValueError(f"topics line {lineno}: empty topic_id")
         if topic_id.split() != [topic_id]:  # run files and qrels split their columns on whitespace
             raise ValueError(f"topics line {lineno}: topic_id {topic_id!r} contains whitespace")
-        if topic_id in seen:
+        if topic_id in topics:
             raise ValueError(f"topics line {lineno}: duplicate topic_id {topic_id!r}")
-        seen.add(topic_id)
-        topics.append(Topic(topic_id=topic_id, query_text=query_text.strip()))
+        topics[topic_id] = query_text.strip()
     return topics
 
 
-def load_topics(path) -> list[Topic]:
+def load_topics(path) -> dict[str, str]:
+    """parse_topics on a UTF-8 file: {topic_id: query_text} in file order."""
     with open_text(path) as fin:
         return parse_topics(fin)
 
@@ -111,16 +104,19 @@ class EvalReport:
     unknown_qrel_topics: int
 
 
-def run_evaluation(index: InvertedIndex, topics, qrels: dict[tuple[str, str], int], configs) -> EvalReport:
+def run_evaluation(index: InvertedIndex, topics: dict[str, str], qrels: dict[tuple[str, str], int],
+                   configs) -> EvalReport:
     """Search every topic once, rerank it under every config and collect metrics.
 
+    topics maps topic_id to query text, as load_topics returns it; the
+    report keeps its order. The id 'ALL' is a ValueError: it names the
+    report's summary rows.
     Each RunResult holds one TopicMetrics per topic and its ALL row (total):
     the counts summed and the precisions, like the pairwise top-10 overlaps,
     averaged over all topics. With no topics every mean is 0.0.
     qrels maps (topic_id, doc_id) to a grade, as load_qrels returns it; a
-    negative grade is a ValueError. Topic ids and the configs' run tags
-    must be unique. Qrel topics that do not appear in the topic list are
-    ignored; their count is reported.
+    negative grade is a ValueError. The configs' run tags must be unique.
+    Qrel topics that are not in topics are ignored; their count is reported.
     A judged doc_id that is not in the index is never retrieved, so it is
     skipped. The metrics read the ranked lists' index positions: a topic's
     relevant documents (grade > 0) are one boolean mask over the index,
@@ -129,13 +125,9 @@ def run_evaluation(index: InvertedIndex, topics, qrels: dict[tuple[str, str], in
     """
     if not configs:
         raise ValueError("at least one ranking config is required")
-    topic_ids = [topic.topic_id for topic in topics]
-    seen = set()
-    for topic_id in topic_ids:
-        if topic_id in seen:  # per_topic is keyed by id: a second topic would overwrite the first
-            raise ValueError(f"duplicate topic_id {topic_id!r}")
-        seen.add(topic_id)
-    unknown = {topic_id for topic_id, _ in qrels} - seen
+    if "ALL" in topics:
+        raise ValueError("topic_id 'ALL' names the report's summary rows")
+    unknown = {topic_id for topic_id, _ in qrels} - topics.keys()
     tags = set()
     for config in configs:
         if config.run_tag in tags:  # report rows and run files are named by tag
@@ -146,7 +138,7 @@ def run_evaluation(index: InvertedIndex, topics, qrels: dict[tuple[str, str], in
     for (topic_id, doc_id), grade in qrels.items():
         if grade < 0:
             raise ValueError(f"negative grade for ({topic_id}, {doc_id})")
-        if grade > 0 and topic_id in seen:
+        if grade > 0 and topic_id in topics:
             try:
                 judged[topic_id].append(index.position(doc_id))
             except KeyError:
@@ -154,17 +146,17 @@ def run_evaluation(index: InvertedIndex, topics, qrels: dict[tuple[str, str], in
 
     per_topic = [{} for _ in configs]  # per config: topic_id -> TopicMetrics
     ranked_lists = [[] for _ in configs]  # per config: one ResultSet per topic
-    for topic in topics:
-        rs = search(topic.query_text, index, query_id=topic.topic_id)
+    for topic_id, query_text in topics.items():
+        rs = search(query_text, index, query_id=topic_id)
         relevant = np.zeros(index.corpus_size, dtype=bool)
-        relevant[judged[topic.topic_id]] = True
+        relevant[judged[topic_id]] = True
         for config, rows, ranked_list in zip(configs, per_topic, ranked_lists):
             ranked = rerank(rs, config, index)
             ranked_list.append(ranked)
             hits = relevant[ranked.positions]
             # found[i]: relevant documents among the top i
             found = [0, *np.cumsum(hits[:PRECISION_CUTOFFS[-1]]).tolist()]
-            rows[topic.topic_id] = TopicMetrics(
+            rows[topic_id] = TopicMetrics(
                 retrieved=ranked.set_size,
                 relevant_retrieved=int(np.count_nonzero(hits)),
                 dropped=ranked.dropped,
@@ -188,7 +180,7 @@ def run_evaluation(index: InvertedIndex, topics, qrels: dict[tuple[str, str], in
     ]
 
     return EvalReport(
-        topic_ids=topic_ids,
+        topic_ids=list(topics),
         runs=runs,
         mean_overlap=overlaps,
         unknown_qrel_topics=len(unknown),

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from lotkarank.corpus import DocumentRecord
-from lotkarank.evaluation import Topic
 from lotkarank.index import ResultSet
 
 
@@ -62,7 +61,7 @@ def make_power_law_corpus(
 @dataclass
 class TopicSuite:
     records: list
-    topics: list
+    topics: dict  # topic_id -> query text
     judgments: dict  # (topic_id, doc_id) -> grade
     missing_authors: int  # planted author-less docs across all result sets
     missing_issn: int  # planted issn-less docs across all result sets
@@ -87,11 +86,11 @@ def make_topic_suite(
     the top while tf-idf does not.
     """
     rng = random.Random(seed)
-    records, topics, judgments = [], [], {}
+    records, topics, judgments = [], {}, {}
     for i in range(1, n_topics + 1):
         topic_id = f"t{i:03d}"
         term = f"topic{i:02d}"
-        topics.append(Topic(topic_id=topic_id, query_text=term))
+        topics[topic_id] = term
         positions = list(range(docs_per_topic))
         star_positions = sorted(rng.sample(positions, star_docs))
         non_star = [p for p in positions if p not in star_positions]
@@ -184,7 +183,7 @@ def qrels_lines(judgments) -> list[str]:
 
 
 def topics_lines(topics) -> list[str]:
-    return [f"{t.topic_id}\t{t.query_text}" for t in topics]
+    return [f"{topic_id}\t{query_text}" for topic_id, query_text in topics.items()]
 
 
 class CreatesFileOnUnpickle:

@@ -207,8 +207,8 @@ def test_drop_accounting():
         (RankingConfig(mode=Mode.COMBINED, field=EntityField.JOURNAL, k=1.0), suite.missing_issn),
     ):
         total_dropped = 0
-        for topic in suite.topics:
-            rs = search(topic.query_text, index, query_id=topic.topic_id)
+        for topic_id, query_text in suite.topics.items():
+            rs = search(query_text, index, query_id=topic_id)
             assert rs.set_size == 40  # every planted doc is retrieved
             total_dropped += rerank(rs, config, index).dropped
         assert total_dropped == planted

@@ -17,7 +17,7 @@ from helpers import CreatesFileOnUnpickle, make_topic_suite, qrels_lines, save_c
 from lotkarank import output
 from lotkarank.cli import main
 from lotkarank.corpus import DocumentRecord, load_corpus
-from lotkarank.evaluation import Topic, load_qrels, load_topics
+from lotkarank.evaluation import load_qrels, load_topics
 
 
 def _write(path, lines):
@@ -391,8 +391,8 @@ DEFINED_IN = {
     "informetrics": ["EntityFrequencyTable", "PowerLawFit", "entity_frequencies", "fit_power_law",
                      "rank_frequency_series"],
     "rerank": ["MissingPolicy", "Mode", "RankingConfig", "rerank"],
-    "evaluation": ["EvalReport", "Topic", "load_qrels", "load_topics", "parse_qrels",
-                   "parse_topics", "run_evaluation"],
+    "evaluation": ["EvalReport", "load_qrels", "load_topics", "parse_qrels", "parse_topics",
+                   "run_evaluation"],
 }
 names = [name for module in DEFINED_IN.values() for name in module]
 assert ("lotkarank.evaluation" in sys.modules) == (sys.argv[1] == "lotkarank.evaluation")
@@ -494,6 +494,21 @@ def test_eval_command_rejects_whitespace_in_topic_id(tmp_path, capsys):
         "--modes", "tfidf", "--out", str(tmp_path / "aborted"),
     ]) == 1
     assert capsys.readouterr().err == "error: topics line 1: topic_id 't 1' contains whitespace\n"
+    assert not list(tmp_path.glob("aborted.*"))
+
+
+def test_eval_command_rejects_a_topic_named_all(tmp_path, capsys):
+    # its rows could not be told from the report's summary rows
+    idx, _, qrels = _eval_fixture(tmp_path)
+    topics = tmp_path / "all.tsv"
+    _write(topics, ["t1\tquake", "ALL\tflood"])
+    capsys.readouterr()
+    assert main([
+        "eval", "--index", str(idx), "--topics", str(topics), "--qrels", str(qrels),
+        "--modes", "tfidf", "--out", str(tmp_path / "aborted"),
+    ]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: topic_id 'ALL' names the report's summary rows\n")
     assert not list(tmp_path.glob("aborted.*"))
 
 
@@ -754,7 +769,7 @@ def test_byte_order_mark_is_skipped(tmp_path):
         results.append((load_corpus(corpus_path), load_topics(topics), load_qrels(qrels), outputs))
     plain, marked = results
     assert [rec.doc_id for rec in plain[0]] == ["d1", "d2", "d3", "d4", "d5"]
-    assert plain[1] == [Topic("t1", "quake"), Topic("t2", "flood")]
+    assert plain[1] == {"t1": "quake", "t2": "flood"}
     assert plain[2] == {("t1", "d1"): 1, ("t2", "d5"): 1}
     assert sorted(plain[3]) == ["c.idx", "exp.brad.run", "exp.combined_k1.0.run", "exp.lotka.run",
                                 "exp.report.csv", "exp.report.txt", "exp.tfidf.run"]

@@ -7,7 +7,6 @@ from oracle import is_relevant, naive_rerank, naive_search, overlap_at_k, precis
 from lotkarank import evaluation
 from lotkarank.evaluation import (
     PRECISION_CUTOFFS,
-    Topic,
     TopicMetrics,
     parse_qrels,
     parse_topics,
@@ -28,10 +27,7 @@ def _qrels(topic_id, relevant, judged_irrelevant=()):
 
 def test_parse_topics_basic():
     topics = parse_topics(["126\tviolence and family", "", "127\tyouth unemployment"])
-    assert topics == [
-        Topic(topic_id="126", query_text="violence and family"),
-        Topic(topic_id="127", query_text="youth unemployment"),
-    ]
+    assert list(topics.items()) == [("126", "violence and family"), ("127", "youth unemployment")]
 
 
 def test_parse_topics_requires_tab():
@@ -197,8 +193,8 @@ def test_run_evaluation_single_topic_single_mode():
     index = build_index(suite.records)
     report = run_evaluation(index, suite.topics, suite.judgments, [RankingConfig(mode=Mode.TFIDF)])
     assert [run.tag for run in report.runs] == ["tfidf"]
-    assert report.topic_ids == [suite.topics[0].topic_id]
-    metrics = report.runs[0].per_topic[suite.topics[0].topic_id]
+    assert report.topic_ids == ["t001"]
+    metrics = report.runs[0].per_topic["t001"]
     assert metrics.retrieved == 12
     assert report.mean_overlap == []
 
@@ -210,12 +206,15 @@ def test_run_evaluation_requires_configs():
         run_evaluation(index, suite.topics, suite.judgments, [])
 
 
-def test_run_evaluation_rejects_duplicate_topic_ids():
+def test_run_evaluation_rejects_a_topic_named_all(monkeypatch):
+    # its rows could not be told from the summary rows; refused before any search
     suite = make_topic_suite(n_topics=1, docs_per_topic=5, star_docs=2, seed=5)
     index = build_index(suite.records)
-    topics = [Topic(topic_id="t1", query_text="a"), Topic(topic_id="t1", query_text="b")]
-    with pytest.raises(ValueError, match="duplicate topic_id 't1'"):
+    monkeypatch.setattr(evaluation, "search", None)
+    topics = {**suite.topics, "ALL": "topic01"}
+    with pytest.raises(ValueError) as info:
         run_evaluation(index, topics, suite.judgments, [RankingConfig(mode=Mode.TFIDF)])
+    assert str(info.value) == "topic_id 'ALL' names the report's summary rows"
 
 
 def test_run_evaluation_identical_configs_have_full_overlap():
@@ -263,7 +262,7 @@ def test_run_evaluation_counts_unknown_qrel_topics():
 
 def test_run_evaluation_empty_result_topic_contributes_zero():
     suite = make_topic_suite(n_topics=2, docs_per_topic=10, star_docs=4, seed=8)
-    topics = suite.topics + [Topic(topic_id="t999", query_text="unmatchable-term")]
+    topics = {**suite.topics, "t999": "unmatchable-term"}
     index = build_index(suite.records)
     report = run_evaluation(index, topics, suite.judgments, [RankingConfig(mode=Mode.TFIDF)])
     run = report.runs[0]
@@ -278,7 +277,7 @@ def test_run_evaluation_without_topics_reports_zeros():
     suite = make_topic_suite(n_topics=2, docs_per_topic=5, star_docs=2, seed=5)
     index = build_index(suite.records)
     configs = [RankingConfig(mode=Mode.TFIDF), RankingConfig(mode=Mode.LOTKA), RankingConfig(mode=Mode.BRADFORD)]
-    report = run_evaluation(index, [], suite.judgments, configs)
+    report = run_evaluation(index, {}, suite.judgments, configs)
     assert report.topic_ids == []
     assert report.unknown_qrel_topics == 2
     zero = TopicMetrics(retrieved=0, relevant_retrieved=0, dropped=0, precision=dict.fromkeys(PRECISION_CUTOFFS, 0.0))
@@ -306,19 +305,19 @@ def test_run_evaluation_matches_independent_metric_computation():
 
     mode_names = ["tfidf", "lotka", "combined"]
     naive_lists = {}
-    for i, topic in enumerate(suite.topics):
-        base = naive_search(suite.records, topic.query_text)
+    for i, (topic_id, query_text) in enumerate(suite.topics.items()):
+        base = naive_search(suite.records, query_text)
         for run, mode_name in zip(report.runs, mode_names):
             entries, dropped = naive_rerank(suite.records, base, mode_name, "author", 1.0)
-            expected = ranked_list(topic.topic_id, [doc_id for doc_id, _, _ in entries])
-            naive_lists[(topic.topic_id, run.tag)] = expected
+            expected = ranked_list(topic_id, [doc_id for doc_id, _, _ in entries])
+            naive_lists[(topic_id, run.tag)] = expected
             ranked = run.ranked[i]
-            assert ranked.query_id == topic.topic_id
+            assert ranked.query_id == topic_id
             assert [(d, r) for d, _, r in ranked.entries] == [(d, r) for d, _, r in entries]
-            metrics = run.per_topic[topic.topic_id]
+            metrics = run.per_topic[topic_id]
             assert metrics.retrieved == len(entries)
             assert metrics.dropped == dropped
-            assert metrics.relevant_retrieved == sum(is_relevant(qrels, topic.topic_id, d) for d in expected.doc_ids())
+            assert metrics.relevant_retrieved == sum(is_relevant(qrels, topic_id, d) for d in expected.doc_ids())
             for k in PRECISION_CUTOFFS:
                 assert metrics.precision[k] == precision_at_k(expected, qrels, k)
 
@@ -342,7 +341,7 @@ def test_run_evaluation_searches_each_topic_once(monkeypatch):
     monkeypatch.setattr(evaluation, "search", counting_search)
     configs = [RankingConfig(mode=Mode.TFIDF), RankingConfig(mode=Mode.LOTKA), RankingConfig(mode=Mode.BRADFORD)]
     report = run_evaluation(index, suite.topics, suite.judgments, configs)
-    topic_ids = [topic.topic_id for topic in suite.topics]
+    topic_ids = list(suite.topics)
     assert searched == topic_ids
     for run in report.runs:
         assert [ranked.query_id for ranked in run.ranked] == topic_ids
@@ -382,5 +381,5 @@ def test_report_table_lists_all_runs():
 def test_helpers_round_trip_through_parsers():
     suite = make_topic_suite(n_topics=2, docs_per_topic=6, star_docs=2, seed=3)
     topics = parse_topics(topics_lines(suite.topics))
-    assert topics == suite.topics
+    assert list(topics.items()) == list(suite.topics.items())
     assert parse_qrels(qrels_lines(suite.judgments)) == suite.judgments

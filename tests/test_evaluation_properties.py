@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from oracle import is_relevant, overlap_at_k, precision_at_k
 from lotkarank.corpus import DocumentRecord
-from lotkarank.evaluation import OVERLAP_K, PRECISION_CUTOFFS, Topic, TopicMetrics, run_evaluation
+from lotkarank.evaluation import OVERLAP_K, PRECISION_CUTOFFS, TopicMetrics, run_evaluation
 from lotkarank.index import build_index
 from lotkarank.informetrics import EntityField
 from lotkarank.rerank import MissingPolicy, Mode, RankingConfig
@@ -33,8 +33,8 @@ def evaluation_case(draw):
         for i, (word_bits, author_bits, journal) in enumerate(zip(words, authors, journals))
     ]
     topic_ids = draw(st.lists(st.sampled_from(["t1", "t2", "t3", "t4"]), min_size=1, max_size=4, unique=True))
-    topics = [Topic(topic_id, " ".join(draw(st.lists(st.sampled_from(_WORDS + ["unindexed"]), min_size=1, max_size=2))))
-              for topic_id in topic_ids]
+    topics = {topic_id: " ".join(draw(st.lists(st.sampled_from(_WORDS + ["unindexed"]), min_size=1, max_size=2)))
+              for topic_id in topic_ids}
     # grades 0 to 2 for every indexed doc of some listed topics (the others have no
     # judgments), plus judged doc ids that are not indexed and a topic with no entry
     judgments = {}
@@ -51,7 +51,7 @@ def evaluation_case(draw):
 def test_run_evaluation_matches_per_document_metrics(case):
     records, topics, qrels = case
     report = run_evaluation(build_index(records), topics, qrels, _CONFIGS)
-    assert report.topic_ids == [topic.topic_id for topic in topics]
+    assert report.topic_ids == list(topics)
     assert report.unknown_qrel_topics == len({topic_id for topic_id, _ in qrels} - set(report.topic_ids))
     for run in report.runs:
         assert [ranked.query_id for ranked in run.ranked] == report.topic_ids

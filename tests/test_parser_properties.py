@@ -3,7 +3,7 @@
 Each parser either returns a value or raises ValueError (CorpusError is
 one) naming what is wrong; no other exception type escapes. What
 parse_corpus returns can be written back out as UTF-8 and parses to
-the same records.
+the same records, and topics written as lines parse to the same dict.
 """
 import json
 import re
@@ -11,7 +11,7 @@ import re
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import serialize_corpus
+from helpers import serialize_corpus, topics_lines
 from lotkarank.corpus import OPTIONAL_KEYS, REQUIRED_KEYS, CorpusError, DocumentRecord, parse_corpus
 from lotkarank.evaluation import parse_qrels, parse_topics
 
@@ -58,6 +58,19 @@ def test_parse_topics_returns_or_raises_value_error(lines):
         parse_topics(lines)
     except ValueError:
         pass
+
+
+# one word, and not the id of the report's summary rows; queries are stripped and one line
+_TOPIC_ID = st.text(st.characters(exclude_categories=("Zs", "Zl", "Zp", "Cc")), min_size=1, max_size=4).filter(
+    lambda topic_id: topic_id.split() == [topic_id] and topic_id != "ALL")
+_QUERY = _TEXT.map(str.strip).filter(lambda query: query.splitlines() in ([], [query]))
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.dictionaries(_TOPIC_ID, _QUERY, max_size=4))
+def test_parse_topics_round_trips_topics_lines(topics):
+    # file order is the dict's order
+    assert list(parse_topics(topics_lines(topics)).items()) == list(topics.items())
 
 
 @settings(derandomize=True, deadline=None)
