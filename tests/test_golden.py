@@ -90,6 +90,7 @@ _BAD_TOPICS = {  # refused by eval
     "bad.tab.tsv": b"t1\tquake\n\nt2 flood\n",  # line 3
     "bad.empty-id.tsv": b"\tquake\n",
     "bad.id-space.tsv": b"t 1\tquake\n",
+    "bad.all.tsv": b"ALL\tquake\n",  # the name of the report's summary rows
 }
 _BAD_QRELS = {  # refused by eval
     "bad.grade.txt": b"t1 0 d0001 1_0\n",
@@ -154,6 +155,9 @@ def _bad_inputs():
     # outputs that cannot be written: a directory, a FIFO, and a path in a missing directory
     os.mkdir("adir")
     os.mkfifo("fifo")
+    # inputs named like a command's own output: analyze's <out>.csv and eval's <out>.report.csv
+    Path("a.csv").write_bytes(b"not an index\n")
+    Path("e.report.csv").write_bytes(b"t1\tquake\n")
 
 
 def _commands(queries):
@@ -219,6 +223,10 @@ def _refused_commands():
     yield ["rerank", *on, "--mode", "combined", "--field", "author", "--k", "inf", "--out", "bad.run"]
     for out in ("c.idx", "adir", "fifo", "nodir/bad.run"):
         yield ["rerank", *on, "--mode", "brad", "--out", out]
+    # an output that is one of the command's inputs
+    yield ["index", "--corpus", "corpus.jsonl", "--out", "corpus.jsonl"]
+    yield ["analyze", "--index", "a.csv", "--query", "w001", "--field", "journal", "--out", "a"]
+    yield ["eval", "--index", "c.idx", "--topics", "e.report.csv", "--qrels", "qrels.txt", "--out", "e"]
 
 
 def _sha256(data: bytes) -> str:
