@@ -150,7 +150,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    _refuse_inputs_as_outputs([f"{args.out}.csv", f"{args.out}.loglog.csv"], {"--index": args.index})
+    series_files = [f"{args.out}.csv", f"{args.out}.loglog.csv"]
+    _refuse_inputs_as_outputs(series_files, {"--index": args.index})
     index = InvertedIndex.load(args.index)
     rs = search(args.query, index, query_id="analyze")
     table = entity_frequencies(rs, EntityField(args.field), index)
@@ -159,7 +160,7 @@ def _cmd_analyze(args) -> int:
         print(f"error: result set has {len(series)} distinct entities, need at least 2", file=sys.stderr)
         return 2
     fit = fit_power_law(series)
-    export_series_csv(table, args.out)
+    export_series_csv(table, *series_files)
     print(f"alpha={fit.alpha:.4f} c={fit.c:.4f} r2={fit.r_squared:.4f}")
     return 0
 

@@ -103,18 +103,15 @@ def fit_power_law(series) -> PowerLawFit:
     )
 
 
-def export_series_csv(table: EntityFrequencyTable, out_prefix) -> tuple[str, str]:
-    """Write <prefix>.csv (rank,frequency,entity) and <prefix>.loglog.csv.
+def export_series_csv(table: EntityFrequencyTable, linear_path, loglog_path):
+    """Write the series to linear_path (rank,frequency,entity) and loglog_path.
 
     The log-log companion uses natural logs and is ready for straight-line
     plotting. Both files are written or neither (see output.write_files).
-    Returns both paths.
     """
     import csv  # analyze is the one command that writes CSV series
     import io
 
-    linear_path = f"{out_prefix}.csv"
-    loglog_path = f"{out_prefix}.loglog.csv"
     linear, loglog = io.StringIO(), io.StringIO()
     linear_writer = csv.writer(linear, lineterminator="\n")
     loglog_writer = csv.writer(loglog, lineterminator="\n")
@@ -125,4 +122,3 @@ def export_series_csv(table: EntityFrequencyTable, out_prefix) -> tuple[str, str
         loglog_writer.writerow([math.log(rank), math.log(count)])
     write_files([(linear_path, linear.getvalue().encode("utf-8")),
                  (loglog_path, loglog.getvalue().encode("utf-8"))])
-    return linear_path, loglog_path

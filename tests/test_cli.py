@@ -391,8 +391,6 @@ DEFINED_IN = {
     "informetrics": ["EntityFrequencyTable", "PowerLawFit", "entity_frequencies", "fit_power_law",
                      "rank_frequency_series"],
     "rerank": ["MissingPolicy", "Mode", "RankingConfig", "rerank"],
-    "evaluation": ["EvalReport", "load_qrels", "load_topics", "parse_qrels", "parse_topics",
-                   "run_evaluation"],
 }
 names = [name for module in DEFINED_IN.values() for name in module]
 assert ("lotkarank.evaluation" in sys.modules) == (sys.argv[1] == "lotkarank.evaluation")

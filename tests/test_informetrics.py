@@ -75,7 +75,8 @@ def test_entity_frequencies_match_brute_force_recount(tmp_path):
             # ranked by count desc, then by name
             ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
             assert rank_frequency_series(table) == [(rank, count) for rank, (_, count) in enumerate(ranked, 1)]
-            linear, _ = export_series_csv(table, tmp_path / name)
+            linear = tmp_path / f"{name}.csv"
+            export_series_csv(table, linear, tmp_path / f"{name}.loglog.csv")
             with open(linear, encoding="utf-8", newline="") as fin:
                 assert list(csv.reader(fin))[1:] == [[str(rank), str(count), entity]
                                                       for rank, (entity, count) in enumerate(ranked, 1)]
@@ -253,7 +254,9 @@ def test_fit_scaling_moves_c_not_alpha():
 
 def test_export_series_csv(tmp_path):
     table = _table({"Smith, J.": 3, "Lee": 1})
-    linear, loglog = export_series_csv(table, tmp_path / "series")
+    linear, loglog = tmp_path / "series.csv", tmp_path / "series.loglog.csv"
+    export_series_csv(table, linear, loglog)
+    assert sorted(tmp_path.iterdir()) == [linear, loglog]
     with open(linear, encoding="utf-8") as fin:
         lines = fin.read().splitlines()
     assert lines[0] == "rank,frequency,entity"
