@@ -422,11 +422,35 @@ def build_index(docs) -> InvertedIndex:
 def descending(values) -> np.ndarray:
     """The indices that sort values descending, equal values keeping their index order.
 
-    Each value is replaced by its dense rank among the distinct values, and
-    the ranks are sorted stably in the narrowest unsigned type that holds
-    them: with at most 65,536 distinct values numpy sorts them by radix, in
-    linear time, whatever the number of values.
+    Positive float64 values, which search passes, take one sort of packed
+    keys: a positive float64 orders as its bits do, so each key is the
+    value's complemented bits with the low w bits, w = (n - 1).bit_length(),
+    replaced by its index. The keys are distinct, so the order does not
+    depend on the sort's stability or algorithm. Values that agree in all
+    but their low w bits come out in index order, which is wrong if they
+    differ; so the order is kept only if the values come out non-increasing
+    (then equal values, whose keys differ only in the index, are in index
+    order too).
+
+    Other input, such as analyze's int64 tallies, and the rare positive
+    set that fails that check, take the dense ranks: each value is replaced
+    by its rank among the distinct values, and the ranks are sorted stably
+    in the narrowest unsigned type that holds them (with at most 65,536
+    distinct values numpy sorts them by radix, in linear time).
     """
+    n = len(values)
+    if values.dtype == np.float64 and n and values.min() > 0.0:
+        # uint64 scalars and arange throughout: numpy 1.x promotes uint64 with int64 to float64
+        low = np.uint64((1 << (n - 1).bit_length()) - 1)  # the bits that hold an index
+        keys = np.invert(values.view(np.uint64))
+        keys &= ~low
+        keys |= np.arange(n, dtype=np.uint64)
+        keys.sort()
+        keys &= low
+        order = keys.astype(np.intp)
+        ranked = values[order]
+        if (ranked[1:] <= ranked[:-1]).all():
+            return order
     distinct, rank = np.unique(-values, return_inverse=True)
     return np.argsort(_narrow(rank, len(distinct)), kind="stable")
 

@@ -17,6 +17,7 @@ the tf-idf set it came from.
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -148,15 +149,21 @@ def _run_text(ranked: ResultSet, ranks: list[str]) -> str:
         if word.split() != [word]:  # the six columns are split on whitespace
             raise ValueError(f"run file {column} must be one word without whitespace, got {word!r}")
     n = ranked.set_size
+    head = f"{ranked.query_id} Q0 "
+    # equal scores are adjacent in a ranked list: one tail per run of equal bits (so 0.0
+    # and -0.0 stay apart; a list in another order only formats more tails), each ending
+    # with the next line's head, the last one trimmed
     scores = np.ascontiguousarray(ranked.scores, dtype=np.float64)
-    # each distinct score is formatted once; keyed on its bits, so 0.0 and -0.0 stay apart
-    bits, which = np.unique(scores.view(np.uint64), return_inverse=True)
-    tails = [f" {score:.6f} {ranked.tag}\n" for score in bits.view(np.float64).tolist()]
-    # the line "{query_id} Q0 {doc_id} {rank} {score:.6f} {tag}\n" in four parts
-    parts = [f"{ranked.query_id} Q0 "] * (4 * n)
-    parts[1::4] = ranked.doc_ids()
-    parts[2::4] = ranks[:n]
-    parts[3::4] = map(tails.__getitem__, which.tolist())
+    bits = scores.view(np.uint64)
+    starts = np.flatnonzero(np.diff(bits, prepend=~bits[:1]))  # ~: the first score starts a run
+    lengths = np.diff(starts, append=n).tolist()
+    tails = [f" {score:.6f} {ranked.tag}\n{head}" for score in scores[starts].tolist()]
+    # the line "{query_id} Q0 {doc_id} {rank} {score:.6f} {tag}\n" in three parts after the first head
+    parts = [head] * (3 * n + 1)
+    parts[1::3] = ranked.doc_ids()
+    parts[2::3] = ranks[:n]
+    parts[3::3] = chain.from_iterable(map(repeat, tails, lengths))
+    parts[-1] = parts[-1].removesuffix(head)
     return "".join(parts)
 
 

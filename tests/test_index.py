@@ -15,7 +15,7 @@ import lotkarank
 from helpers import CreatesFileOnUnpickle, index_zip, random_small_corpus, same_ranking
 from oracle import naive_search, naive_tokenize
 from lotkarank.corpus import DocumentRecord, EntityField
-from lotkarank.index import InvertedIndex, _pack_strings, build_index, descending, search
+from lotkarank.index import InvertedIndex, _narrow, _pack_strings, build_index, descending, search
 
 
 def _doc(doc_id, title, body="", **kwargs):
@@ -174,18 +174,39 @@ def test_search_breaks_ties_by_doc_id():
     assert [rank for _, _, rank in result.entries] == [1, 2]
 
 
-@pytest.mark.parametrize("values", [
-    np.zeros(0),
-    np.array([0.7]),
-    np.full(9, 2.5),
-    np.random.default_rng(3).integers(0, 5, 1000) * 0.25,  # many ties
-    np.random.default_rng(4).permutation(70_000) / 7.0,  # over 65,536 distinct: no 16-bit key
-    np.array([1.0, 3.0, 1.0, np.nextafter(1.0, 2.0), 3.0, 0.5, np.nextafter(1.0, 0.0), 1.0]),
-], ids=["empty", "one", "all-equal", "many-ties", "70k-distinct", "neighbours"])
-def test_descending_equals_stable_argsort_of_negated_values(values):
+_ABOVE_ONE, _BELOW_ONE = np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)  # 1.0's 1-ulp neighbours
+
+
+# path: "keys" when the packed-key sort's order is kept, "ranks" when the dense ranks give it
+@pytest.mark.parametrize("values, path", [
+    (np.zeros(0), "ranks"),
+    (np.array([0.7]), "keys"),
+    (np.full(9, 2.5), "keys"),
+    (np.random.default_rng(3).integers(1, 5, 1000) * 0.25, "keys"),  # many ties
+    (np.random.default_rng(3).integers(0, 5, 1000) * 0.25, "ranks"),  # many ties, 0.0 among them
+    ((np.random.default_rng(4).permutation(70_000) + 1) / 7.0, "keys"),  # over 2**16 indices
+    (np.random.default_rng(4).permutation(70_000) / 7.0, "ranks"),  # over 65,536 distinct: no 16-bit rank
+    # 1.0 and its upper neighbour agree in all but the last bit, so their keys go by index,
+    # which puts the larger one after a 1.0: the check sends them to the dense ranks
+    (np.array([1.0, 3.0, 1.0, _ABOVE_ONE, 3.0, 0.5, _BELOW_ONE, 1.0]), "ranks"),
+    # 2**15 + 1 values, 16 index bits; the upper neighbour comes after 1.0
+    (np.concatenate([np.full(2**15, 1.0), [_ABOVE_ONE]]), "ranks"),
+    # the same neighbours in index order: the key order is right and kept
+    (np.array([_ABOVE_ONE, 3.0, 1.0, 1.0, _BELOW_ONE, 0.5]), "keys"),
+    (np.concatenate([[_ABOVE_ONE], np.full(2**15, 1.0)]), "keys"),
+    (np.array([3, 1, 3, 2, 1, 0], dtype=np.int64), "ranks"),  # analyze's tallies
+    (np.array([2.0, -1.0, 0.0, -0.0, 2.0, 0.0]), "ranks"),  # not positive: 0.0 and -0.0 tie
+    (np.array([2.0, np.nan, 1.0]), "ranks"),
+], ids=["empty", "one", "all-equal", "many-ties", "many-ties-with-zero", "70k-positive", "70k-distinct",
+        "neighbours-misordered", "2**15-neighbours-misordered", "neighbours-in-order",
+        "2**15-neighbours-in-order", "int64-tallies", "signed-zeros", "nan"])
+def test_descending_equals_stable_argsort_of_negated_values(values, path, monkeypatch):
+    ranked = []  # the dense ranks are sized by _narrow, which the key path never calls
+    monkeypatch.setattr(lotkarank.index, "_narrow", lambda *args: ranked.append(args) or _narrow(*args))
     order = descending(values)
     assert order.dtype == np.intp
     assert np.array_equal(order, np.argsort(-values, kind="stable"))
+    assert ("ranks" if ranked else "keys") == path
 
 
 def test_search_excludes_zero_scores():

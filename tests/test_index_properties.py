@@ -3,13 +3,14 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import naive_search, naive_tokenize
 from lotkarank.corpus import _TOKEN_RE, DocumentRecord, tokenize
-from lotkarank.index import InvertedIndex, _pack_strings, _unpack_strings, build_index, search
+from lotkarank.index import InvertedIndex, _pack_strings, _unpack_strings, build_index, descending, search
 
 # letters and digits from any script, including ones whose lowercase form
 # differs (e.g. "İ"), so the indexed terms are what tokenize makes of them
@@ -60,6 +61,25 @@ def test_postings_equal_per_document_counts(case):
         docs, tfs = index.postings(term)
         got = [(index._doc_ids[pos], tf) for pos, tf in zip(docs.tolist(), tfs.tolist())]
         assert got == sorted((doc_id, c[term]) for doc_id, c in counts.items() if c[term])
+
+
+@st.composite
+def near_values(draw):
+    """Up to 40 values, each one of a few positive floats moved by up to 3 ulps.
+
+    Values a few ulps apart agree in all but the low bits that descending's
+    packed keys give to the index, so both of its paths are drawn often.
+    """
+    pool = draw(st.lists(st.floats(min_value=1e-300, max_value=1e300), min_size=1, max_size=4))
+    picks = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(-3, 3)), max_size=40))
+    bits = np.array([value for value, _ in picks], dtype=np.float64).view(np.int64)
+    return (bits + np.array([ulps for _, ulps in picks], dtype=np.int64)).view(np.float64)
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(near_values())
+def test_descending_equals_stable_argsort_of_near_values(values):
+    assert np.array_equal(descending(values), np.argsort(-values, kind="stable"))
 
 
 # any text, with the characters str.lower and the token pattern treat specially drawn

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from helpers import random_small_corpus, ranked_list, same_ranking
-from oracle import naive_rerank, naive_search
+from oracle import naive_rerank, naive_run_lines, naive_search
 from lotkarank.corpus import DocumentRecord
 from lotkarank.index import build_index, search
 from lotkarank.informetrics import EntityField
@@ -383,6 +383,28 @@ def test_write_run_file_concatenates_topics(tmp_path):
     assert path.read_text(encoding="utf-8") == (
         "t1 Q0 a 1 1.000000 lotka\nt2 Q0 b 1 2.000000 lotka\nt2 Q0 c 2 1.000000 lotka\n"
     )
+
+
+_RUN_LISTS = {
+    "empty": [[]],
+    "one-entry": [[0.5]],
+    "search-order": [[3.25, 3.25, 2.0, 1.5, 1.5, 1.5]],
+    "any-order": [[1.0, 2.0, 1.0, 2.0, 2.0, 0.1, 1.0]],  # equal scores apart: one tail each time
+    "signed-zeros": [[0.0, -0.0, -0.0, 0.0, 1e-9, -1e-9]],  # equal, but printed apart
+    "several-lists": [[2.0, 2.0, 1.0], [], [1.0], [5.0, 1.0, 1.0, 1.0]],
+}
+
+
+@pytest.mark.parametrize("score_lists", _RUN_LISTS.values(), ids=_RUN_LISTS)
+def test_write_run_file_matches_naive_lines(tmp_path, score_lists):
+    lists, expected = [], []
+    for i, scores in enumerate(score_lists):
+        doc_ids = [f"doc{i}.{j}" for j in range(len(scores))]
+        lists.append(ranked_list(f"t{i}", doc_ids, scores=scores, tag=f"tag{i}"))
+        expected.append(naive_run_lines(f"t{i}", doc_ids, scores, f"tag{i}"))
+    path = tmp_path / "x.run"
+    write_run_file(lists, path)
+    assert path.read_bytes() == "".join(expected).encode("utf-8")
 
 
 @pytest.mark.parametrize("query_id, tag, named", [
