@@ -182,10 +182,10 @@ _ABOVE_ONE, _BELOW_ONE = np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)  # 1.0's
     (np.zeros(0), "ranks"),
     (np.array([0.7]), "keys"),
     (np.full(9, 2.5), "keys"),
-    (np.random.default_rng(3).integers(1, 5, 1000) * 0.25, "keys"),  # many ties
     (np.random.default_rng(3).integers(0, 5, 1000) * 0.25, "ranks"),  # many ties, 0.0 among them
+    (np.random.default_rng(3).integers(1, 5, 1000) * 0.25, "keys"),  # many ties, all positive
     ((np.random.default_rng(4).permutation(70_000) + 1) / 7.0, "keys"),  # over 2**16 indices
-    (np.random.default_rng(4).permutation(70_000) / 7.0, "ranks"),  # over 65,536 distinct: no 16-bit rank
+    (np.random.default_rng(4).permutation(70_000) / 7.0, "ranks"),  # 0.0 among them; no 16-bit rank
     # 1.0 and its upper neighbour agree in all but the last bit, so their keys go by index,
     # which puts the larger one after a 1.0: the check sends them to the dense ranks
     (np.array([1.0, 3.0, 1.0, _ABOVE_ONE, 3.0, 0.5, _BELOW_ONE, 1.0]), "ranks"),
@@ -197,9 +197,9 @@ _ABOVE_ONE, _BELOW_ONE = np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)  # 1.0's
     (np.array([3, 1, 3, 2, 1, 0], dtype=np.int64), "ranks"),  # analyze's tallies
     (np.array([2.0, -1.0, 0.0, -0.0, 2.0, 0.0]), "ranks"),  # not positive: 0.0 and -0.0 tie
     (np.array([2.0, np.nan, 1.0]), "ranks"),
-], ids=["empty", "one", "all-equal", "many-ties", "many-ties-with-zero", "70k-positive", "70k-distinct",
-        "neighbours-misordered", "2**15-neighbours-misordered", "neighbours-in-order",
-        "2**15-neighbours-in-order", "int64-tallies", "signed-zeros", "nan"])
+], ids=["empty", "one", "all-equal", "many-ties", "many-positive-ties", "70k-positive", "70k-distinct",
+        "neighbours", "2**15-neighbours", "neighbours-in-order", "2**15-neighbours-in-order",
+        "int64-tallies", "signed-zeros", "nan"])
 def test_descending_equals_stable_argsort_of_negated_values(values, path, monkeypatch):
     ranked = []  # the dense ranks are sized by _narrow, which the key path never calls
     monkeypatch.setattr(lotkarank.index, "_narrow", lambda *args: ranked.append(args) or _narrow(*args))
