@@ -433,10 +433,7 @@ def descending(values) -> np.ndarray:
     order too).
 
     Other input, such as analyze's int64 tallies, and the rare positive
-    set that fails that check, take the dense ranks: each value is replaced
-    by its rank among the distinct values, and the ranks are sorted stably
-    in the narrowest unsigned type that holds them (with at most 65,536
-    distinct values numpy sorts them by radix, in linear time).
+    set that fails that check, take a stable argsort of the negated values.
     """
     n = len(values)
     if values.dtype == np.float64 and n and values.min() > 0.0:
@@ -451,8 +448,7 @@ def descending(values) -> np.ndarray:
         ranked = values[order]
         if (ranked[1:] <= ranked[:-1]).all():
             return order
-    distinct, rank = np.unique(-values, return_inverse=True)
-    return np.argsort(_narrow(rank, len(distinct)), kind="stable")
+    return np.argsort(-values, kind="stable")
 
 
 def search(query: str, index: InvertedIndex, query_id: str = "q") -> ResultSet:

@@ -117,14 +117,14 @@ def rerank(rs: ResultSet, config: RankingConfig, index: InvertedIndex) -> Result
     # the factor (ef / n) ** k with Python's pow, once per distinct ef (np.power can
     # differ in the last bit), looked up by ef; field-missing documents (ef 0) keep
     # 1.0, their tf-idf score
-    table = np.ones(n + 1, dtype=np.float64)
+    factor = np.ones(n + 1, dtype=np.float64)
     distinct = np.flatnonzero(np.bincount(ef)[1:]) + 1
     try:
-        table[distinct] = [(e / n) ** config.k for e in distinct.tolist()]
+        factor[distinct] = [(e / n) ** config.k for e in distinct.tolist()]
     except OverflowError:  # Python's float pow raises where np.power would give inf
         raise _out_of_range(config.k, "overflow") from None
     with np.errstate(over="ignore"):
-        scores = tfidf * table[ef]
+        scores = tfidf * factor[ef]
     if np.isinf(scores).any():
         raise _out_of_range(config.k, "overflow")
     if not scores.all():  # a tf-idf score is > 0, so a 0.0 is an underflow
