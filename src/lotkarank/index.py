@@ -15,8 +15,8 @@ The entity fields are code tables built in the same pass: each field's
 distinct values are numbered in name order (``_journal_names``,
 ``_author_names``); ``_journal_codes`` holds one code per document
 (-1 when it has no journal) and the authors are a CSR table (``_author_ptr``
-offsets into the flat ``_author_codes``). ``InvertedIndex.entity_codes``
-is the one way to read them.
+offsets into the flat ``_author_codes``). ``InvertedIndex.entity_counts``
+is the one way to read them: it counts them over a result set's positions.
 
 The index holds no document records: a document is its position and its
 doc_id (``_doc_ids``, sorted), and ``InvertedIndex.position`` maps one to
@@ -219,24 +219,32 @@ class InvertedIndex:
             raise KeyError(f"unknown doc_id {doc_id!r}")
         return pos
 
-    def entity_codes(self, field: EntityField, positions):
-        """The entity codes of the documents at the given positions.
+    def entity_counts(self, field: EntityField, positions):
+        """The field's entity counts over the documents at the given positions.
 
-        Returns (codes, owners, names): the codes of every document's values
-        for the field, concatenated in positions order; each code's document
-        as an index into positions (intp, ascending); and the names by code.
+        Returns (names, tally, doc_ef): the names by code; how many of the
+        documents carry each code; and each document's entity frequency in
+        positions order (int64), the largest tally among its codes, 0 if it
+        has none.
         """
         if field is EntityField.JOURNAL:
-            codes = self._journal_codes[positions]
-            owners = np.flatnonzero(codes >= 0)
-            return codes[owners], owners, self._journal_names
-        starts = self._author_ptr[positions]
+            codes = self._journal_codes[positions].astype(np.intp)
+            # one trailing 0 past the last code, which the code -1 reads
+            tally = np.bincount(codes[codes >= 0], minlength=len(self._journal_names) + 1)
+            return self._journal_names, tally[:-1], tally[codes]
+        starts = self._author_ptr[positions].astype(np.intp)
         sizes = self._author_ptr[positions + 1] - starts
-        owners = np.repeat(np.arange(len(positions), dtype=np.intp), sizes)
+        ends = np.cumsum(sizes)  # each document's end in the gathered codes
+        total = int(ends[-1]) if len(ends) else 0
+        # each code's document: the number of documents that end at or before it (an
+        # author-less document ends where the previous one does, so the count skips it)
+        owners = np.cumsum(np.bincount(ends[:-1], minlength=total)[:total])
         # each code's flat index: its document's start plus its offset within the document
-        offsets = np.cumsum(sizes, dtype=np.intp) - sizes
-        flat = np.arange(len(owners)) + (starts - offsets)[owners]
-        return self._author_codes[flat], owners, self._author_names
+        codes = self._author_codes[np.arange(total) + (starts - ends + sizes)[owners]].astype(np.intp)
+        tally = np.bincount(codes, minlength=len(self._author_names))
+        doc_ef = np.zeros(len(positions), dtype=np.int64)
+        np.maximum.at(doc_ef, owners, tally[codes])  # each code raises its document's ef to its count
+        return self._author_names, tally, doc_ef
 
     def __eq__(self, other):
         if not isinstance(other, InvertedIndex):
@@ -444,7 +452,7 @@ def descending(values) -> np.ndarray:
         keys |= np.arange(n, dtype=np.uint64)
         keys.sort()
         keys &= low
-        order = keys.astype(np.intp)
+        order = keys.view(np.int64)  # the masked keys are below n
         ranked = values[order]
         if (ranked[1:] <= ranked[:-1]).all():
             return order

@@ -2,9 +2,10 @@
 
 Counts how many retrieved documents share a metadata entity (journal ISSN
 or author name), turns the counts into a rank-frequency series, and fits
-f(x) = c * x**-alpha by least squares in log-log space. The counts are held
-as one tally by entity code (``EntityFrequencyTable.tally``); the ranked
-series and each document's entity frequency (``doc_ef``) come from it.
+f(x) = c * x**-alpha by least squares in log-log space. The counts, one
+tally by entity code (``EntityFrequencyTable.tally``) and each document's
+entity frequency (``doc_ef``), come from ``InvertedIndex.entity_counts``;
+the ranked series comes from the tally.
 """
 import math
 from dataclasses import dataclass
@@ -52,10 +53,7 @@ def entity_frequencies(rs: ResultSet, field: EntityField, index: InvertedIndex) 
     most frequent entity, and 0 when it lacks the field. A covered
     document's ef is at least 1, so covered_docs counts the nonzero ones.
     """
-    codes, owners, names = index.entity_codes(field, rs.positions)
-    tally = np.bincount(codes, minlength=len(names))
-    doc_ef = np.zeros(rs.set_size, dtype=np.int64)
-    np.maximum.at(doc_ef, owners, tally[codes])  # each code raises its document's ef to its count
+    names, tally, doc_ef = index.entity_counts(field, rs.positions)
     return EntityFrequencyTable(field, names, tally, int(np.count_nonzero(doc_ef)), doc_ef)
 
 

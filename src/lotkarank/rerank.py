@@ -8,11 +8,11 @@ document's entity frequency from ``entity_frequencies(...).doc_ef`` and
 keeps the documents the mode keeps. It takes a result set in search
 order (score desc, doc_id asc), so one stable sort on the frequency
 gives every mode (ef desc, tf-idf desc, doc_id asc), field-missing
-documents last; brad/lotka stop there. Combined ranks the scores of the
-distinct (ef, tf-idf) pairs and orders the documents with one sort of
-integer keys, pair rank then position. Every strategy returns a
-ResultSet over the same index, so a re-ranked list is the same type as
-the tf-idf set it came from.
+documents last; brad/lotka stop there. Combined scores each distinct
+(ef, tf-idf) pair once, ranks the pairs' scores and orders the
+documents with one sort of integer keys, pair rank then position.
+Every strategy returns a ResultSet over the same index, so a re-ranked
+list is the same type as the tf-idf set it came from.
 """
 import math
 from dataclasses import dataclass, replace
@@ -114,28 +114,30 @@ def rerank(rs: ResultSet, config: RankingConfig, index: InvertedIndex) -> Result
         return replace(rs, positions=positions, scores=ef.astype(np.float64), tag=config.run_tag,
                        dropped=n - len(by_ef))
     tfidf = rs.scores[by_ef]
+    # in ef order the documents of one (ef, tf-idf) pair are adjacent and share one score,
+    # the same multiply, so each pair is scored once, at its first document
+    first = np.ones(len(ef), dtype=bool)
+    first[1:] = (ef[1:] != ef[:-1]) | (tfidf[1:] != tfidf[:-1])
+    pair_ef = ef[first]
     # the factor (ef / n) ** k with Python's pow, once per distinct ef (np.power can
     # differ in the last bit), looked up by ef; field-missing documents (ef 0) keep
     # 1.0, their tf-idf score
     factor = np.ones(n + 1, dtype=np.float64)
-    distinct = np.flatnonzero(np.bincount(ef)[1:]) + 1
+    distinct = np.flatnonzero(np.bincount(pair_ef)[1:]) + 1
     try:
         factor[distinct] = [(e / n) ** config.k for e in distinct.tolist()]
     except OverflowError:  # Python's float pow raises where np.power would give inf
         raise _out_of_range(config.k, "overflow") from None
     with np.errstate(over="ignore"):
-        scores = tfidf * factor[ef]
+        scores = tfidf[first] * factor[pair_ef]
     if np.isinf(scores).any():
         raise _out_of_range(config.k, "overflow")
     if not scores.all():  # a tf-idf score is > 0, so a 0.0 is an underflow
         raise _out_of_range(config.k, "underflow to 0")
-    # (score desc, doc_id asc). In ef order the documents of one (ef, tf-idf) pair are
-    # adjacent and share one score, the same multiply; only the pairs' scores are ranked,
-    # and equal scores of different pairs share a rank. One sort of rank << shift | position
-    # then orders the documents; the keys are distinct, so the sort need not be stable.
-    first = np.ones(len(ef), dtype=bool)
-    first[1:] = (ef[1:] != ef[:-1]) | (tfidf[1:] != tfidf[:-1])
-    negated, rank = np.unique(-scores[first], return_inverse=True)
+    # (score desc, doc_id asc): only the pairs' scores are ranked, and equal scores of
+    # different pairs share a rank. One sort of rank << shift | position then orders
+    # the documents; the keys are distinct, so the sort need not be stable.
+    negated, rank = np.unique(-scores, return_inverse=True)
     shift = (index.corpus_size - 1).bit_length()
     keys = rank[np.cumsum(first) - 1] << shift | positions
     keys.sort()

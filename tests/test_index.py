@@ -68,16 +68,18 @@ def test_entity_codes_follow_name_order_and_positions():
     assert index._journal_names == ["1111-111X", "2222-2222"]
     assert index._author_names == ["Ann", "Zoë", "Émile"]  # code point order
     positions = np.array([3, 1, 0, 2])  # d4, d2, d1, d3
-    # owners: each code's document as an index into positions; d2 has no journal and no author
-    codes, owners, names = index.entity_codes(EntityField.JOURNAL, positions)
-    assert (codes.tolist(), owners.tolist(), names) == ([1, 1, 0], [0, 2, 3], index._journal_names)
-    assert owners.dtype == np.intp
-    codes, owners, names = index.entity_codes(EntityField.AUTHOR, positions)
-    assert [names[c] for c in codes.tolist()] == ["Ann", "Zoë", "Ann", "Émile"]
-    assert owners.tolist() == [0, 2, 2, 3] and owners.dtype == np.intp
+    # d2 has no journal and no author: ef 0; d1's ef is its more frequent author's count
+    for field, tally, doc_ef in ((EntityField.JOURNAL, [1, 2], [2, 0, 2, 1]),
+                                 (EntityField.AUTHOR, [2, 1, 1], [2, 0, 2, 1])):
+        names, counted, ef = index.entity_counts(field, positions)
+        assert (names, counted.tolist(), ef.tolist()) == (getattr(index, f"_{field.value}_names"), tally, doc_ef)
+        assert ef.dtype == np.int64
+    # only the given positions count: d2, d3
+    assert [x.tolist() for x in index.entity_counts(EntityField.JOURNAL, positions[[1, 3]])[1:]] == [[1, 0], [0, 1]]
+    assert [x.tolist() for x in index.entity_counts(EntityField.AUTHOR, positions[[1, 3]])[1:]] == [[0, 0, 1], [0, 1]]
     for field in EntityField:
-        codes, owners, _ = index.entity_codes(field, positions[:0])
-        assert codes.tolist() == owners.tolist() == [] and owners.dtype == np.intp
+        names, tally, doc_ef = index.entity_counts(field, positions[:0])
+        assert tally.tolist() == [0] * len(names) and doc_ef.tolist() == [] and doc_ef.dtype == np.int64
 
 
 def test_empty_corpus_rejected():
@@ -628,16 +630,17 @@ def test_layout_round_trips_at_type_edges(tmp_path, member, size, dtype):
     rng = np.random.default_rng(size)
     for positions in (np.arange(index.corpus_size)[::-1], rng.permutation(index.corpus_size)[:index.corpus_size // 2]):
         for field in EntityField:
-            (codes, owners, names), (want_codes, want_owners, want_names) = (
-                idx.entity_codes(field, positions) for idx in (loaded, index)
+            (names, tally, doc_ef), (want_names, want_tally, want_doc_ef) = (
+                idx.entity_counts(field, positions) for idx in (loaded, index)
             )
-            assert (codes.tolist(), owners.tolist(), names) == (want_codes.tolist(), want_owners.tolist(), want_names)
-            assert (codes.dtype, owners.dtype) == (want_codes.dtype, want_owners.dtype)
-        codes, owners, _ = loaded.entity_codes(EntityField.AUTHOR, positions)
-        assert list(zip(codes.tolist(), owners.tolist())) == [
-            (code, i) for i, pos in enumerate(positions.tolist()) for code in by_doc[pos]
-        ]
-        assert owners.dtype == np.intp
+            assert (names, tally.tolist(), doc_ef.tolist()) == (want_names, want_tally.tolist(), want_doc_ef.tolist())
+            assert doc_ef.dtype == want_doc_ef.dtype == np.int64
+        # each code counted once per occurrence, and each document's ef the largest count of its codes
+        _, tally, doc_ef = loaded.entity_counts(EntityField.AUTHOR, positions)
+        want_tally = np.bincount([code for pos in positions.tolist() for code in by_doc[pos]],
+                                 minlength=len(index._author_names))
+        assert tally.tolist() == want_tally.tolist()
+        assert doc_ef.tolist() == [max(want_tally[by_doc[pos]], default=0) for pos in positions.tolist()]
     assert same_ranking(search("shared", loaded), search("shared", index))
 
 
@@ -689,12 +692,15 @@ def test_load_accepts_members_in_wider_integer_types(tmp_path):
     assert loaded == index
     for name in ("_ptr", "_docs", "_tfs", "_journal_codes", "_author_ptr", "_author_codes"):
         assert getattr(loaded, name).dtype == getattr(index, name).dtype
-    positions = np.array([2, 0, 1])
+    positions = np.array([2, 0, 1])  # d3 (no author), d1, d2 (no journal)
+    want = {EntityField.JOURNAL: ([1, 1], [1, 1, 0]), EntityField.AUTHOR: ([1, 2], [0, 2, 2])}
     for field in EntityField:
-        (codes, owners, names), (want_codes, want_owners, want_names) = (
-            idx.entity_codes(field, positions) for idx in (loaded, index)
+        assert [x.tolist() for x in loaded.entity_counts(field, positions)[1:]] == list(want[field])
+        (names, tally, doc_ef), (want_names, want_tally, want_doc_ef) = (
+            idx.entity_counts(field, positions) for idx in (loaded, index)
         )
-        assert (codes.tolist(), owners.tolist(), names) == (want_codes.tolist(), want_owners.tolist(), want_names)
+        assert (names, tally.tolist(), doc_ef.tolist()) == (want_names, want_tally.tolist(), want_doc_ef.tolist())
+        assert doc_ef.dtype == want_doc_ef.dtype == np.int64
 
 
 def test_positions_and_row_offsets_stored_narrow():

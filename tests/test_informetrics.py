@@ -136,6 +136,64 @@ def test_author_doc_ef_matches_oracle_for_0_1_and_many_authors():
     assert table.counts == counts and table.counts["Top"] == 4
 
 
+def _ranked_corpus(spec, seed):
+    """An index over spec, (authors, issn) per document in rank order, and its 'shared' result set.
+
+    Each document holds 'shared' once more than the next, so the result set keeps spec's
+    order; the doc ids are shuffled, so rank order is not position order.
+    """
+    labels = [f"d{i:03d}" for i in range(len(spec))]
+    random.Random(seed).shuffle(labels)
+    records = [DocumentRecord(doc_id=label, title="shared", body=" ".join(["shared"] * (len(spec) - rank)),
+                              authors=authors, journal_issn=issn)
+               for rank, (label, (authors, issn)) in enumerate(zip(labels, spec))]
+    records.append(DocumentRecord(doc_id="zfill", title="padding"))
+    index = build_index(records)
+    rs = search("shared", index)
+    assert rs.doc_ids() == labels
+    return records, index, rs
+
+
+def _assert_matches_oracle(records, index, rs, field):
+    table = entity_frequencies(rs, field, index)
+    counts = naive_entity_counts(records, rs.doc_ids(), field.value)
+    by_id = {rec.doc_id: rec for rec in records}
+    expected = [naive_doc_ef(by_id[doc_id], counts, field.value) or 0 for doc_id in rs.doc_ids()]
+    assert table.counts == counts
+    assert table.doc_ef.tolist() == expected and table.doc_ef.dtype == np.int64
+    assert table.covered_docs == sum(ef > 0 for ef in expected)
+    return table
+
+
+@pytest.mark.parametrize("journals, dtype", [(127, np.int8), (128, np.int8), (129, np.int16)])
+def test_journal_doc_ef_matches_oracle_where_the_code_type_widens(journals, dtype):
+    # every journal once, the last three journals more often, and no journal at the first,
+    # a middle and the last rank: the code -1 must read a count of 0 in every code type
+    issns = [f"{i:04d}-0000" for i in range(journals)]
+    issns += issns[-3:] * 2 + issns[-1:]
+    half, none = len(issns) // 2, ([], None)
+    spec = [none, *[([], issn) for issn in issns[:half]], none, *[([], issn) for issn in issns[half:]], none]
+    records, index, rs = _ranked_corpus(spec, journals)
+    assert index._journal_codes.dtype == dtype and len(index._journal_names) == journals
+    table = _assert_matches_oracle(records, index, rs, EntityField.JOURNAL)
+    assert [i for i, ef in enumerate(table.doc_ef.tolist()) if ef == 0] == [0, half + 1, len(spec) - 1]
+    assert max(table.doc_ef.tolist()) == 4
+
+
+@pytest.mark.parametrize("spec", [
+    # two author-less documents in a row, and two at the end of the set
+    [["A"], [], [], ["B", "A"], ["C"], [], []],
+    # three in a row at the start, in the middle and at the end
+    [[], [], [], ["A", "B"], [], [], [], ["B"], ["A"], [], [], []],
+    # one document with 300 authors (more than a uint8 count), two of them shared
+    [["A"], [], [f"p{i:03d}" for i in range(298)] + ["A", "B"], [], [], ["B"], [], [], []],
+], ids=["two", "three", "300-authors"])
+def test_author_doc_ef_matches_oracle_around_author_less_runs(spec):
+    records, index, rs = _ranked_corpus([(authors, None) for authors in spec], len(spec))
+    table = _assert_matches_oracle(records, index, rs, EntityField.AUTHOR)
+    assert [ef == 0 for ef in table.doc_ef.tolist()] == [not authors for authors in spec]
+
+
 def test_table_built_from_a_dict_equals_the_counted_table():
     index, rs = _corpus_with([("d1", ["A"], None), ("d2", ["A", "B"], None), ("d3", [], None)])
     counted = entity_frequencies(rs, EntityField.AUTHOR, index)

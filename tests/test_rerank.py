@@ -247,6 +247,31 @@ def test_rerank_combined_overflow_names_k(k, policy):
                 rerank(rs, config, index)
 
 
+@pytest.mark.parametrize("k", [-341.0, 358.0])
+@pytest.mark.parametrize("policy", list(MissingPolicy))
+def test_rerank_combined_out_of_range_only_in_a_later_pair_names_k(k, policy):
+    # of N 8 retrieved docs, four share author A (ef 4) and come first in ef order; three
+    # with one author each (ef 1) and equal tf-idf form the second pair, the one out of
+    # range: at k -341 their factor 8 ** 341 is finite but their score overflows, at k 358
+    # their factor 8 ** -358 is above 0 but their score underflows; one doc has no author
+    extra_tf = 20 if k < 0 else 0
+    spec = [(f"a{i}", 0, ["A"], None) for i in range(4)]
+    spec += [(f"b{i}", extra_tf, [f"B{i}"], None) for i in range(3)] + [("c0", 0, [], None)]
+    index, rs = _indexed(spec)
+    tfidf = dict((d, s) for d, s, _ in rs.entries)
+    assert rs.set_size == 8 and len({tfidf[f"b{i}"] for i in range(3)}) == 1
+    first, later = tfidf["a0"] * (4 / 8) ** k, tfidf["b0"] * (1 / 8) ** k
+    assert math.isfinite(first) and first > 0.0 and (1 / 8) ** k > 0.0
+    assert math.isinf(later) if k < 0 else later == 0.0
+    config = RankingConfig(mode=Mode.COMBINED, field=EntityField.AUTHOR, k=k, missing_policy=policy)
+    what = "overflow" if k < 0 else "underflow to 0"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning on the way
+        with pytest.raises(ValueError, match=f"^k={k} makes a combined score {what}; "
+                                             "use a k of smaller magnitude$"):
+            rerank(rs, config, index)
+
+
 _ORDER_DEPENDENT = [
     RankingConfig(mode=Mode.BRADFORD),
     RankingConfig(mode=Mode.LOTKA),
