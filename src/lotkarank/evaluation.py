@@ -15,7 +15,7 @@ import numpy as np
 from .corpus import open_text
 from .index import InvertedIndex, ResultSet, search
 from .output import write_files
-from .rerank import RankingConfig, rerank
+from .rerank import rerank
 
 PRECISION_CUTOFFS = (5, 10, 20, 30, 100)
 OVERLAP_K = 10

@@ -321,6 +321,8 @@ def test_eval_command_writes_reports_and_runs(tmp_path, capsys):
     csv_lines = (tmp_path / "exp.report.csv").read_text(encoding="utf-8").splitlines()
     # tfidf: retrieved d1..d4, relevant d1 (rank 1) and d3 (rank 3)
     assert csv_lines[1] == "t1,tfidf,4,2,0,0.400000,0.200000,0.100000,0.066667,0.020000"
+    # one topic: each run's ALL row is its topic row
+    assert csv_lines[4:] == ["ALL" + line[2:] for line in csv_lines[1:4]]
 
 
 def test_eval_command_is_deterministic_across_processes(tmp_path):
@@ -338,12 +340,17 @@ def test_eval_command_is_deterministic_across_processes(tmp_path):
         assert (tmp_path / f"one.{suffix}").read_bytes() == (tmp_path / f"two.{suffix}").read_bytes()
 
 
-def _fresh_python(code, *args):
-    """Run code in a new interpreter that imports lotkarank from this checkout; returns its stdout."""
-    src = os.path.dirname(os.path.dirname(output.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    done = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+def _run_fresh(*args):
+    """Run python with args in a new interpreter that imports the lotkarank these tests import."""
+    package_dir = os.path.dirname(os.path.dirname(output.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([package_dir, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, *map(str, args)], env=env,
                           capture_output=True, text=True, encoding="utf-8", timeout=60)
+
+
+def _fresh_python(code, *args):
+    """Run code in a new interpreter (see _run_fresh); returns its stdout."""
+    done = _run_fresh("-c", code, *args)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
@@ -418,6 +425,22 @@ print("ok")
 @pytest.mark.parametrize("first", ["lotkarank", "lotkarank.cli", "lotkarank.evaluation", "lotkarank.rerank"])
 def test_public_names_are_the_defining_modules_objects(first):
     assert _fresh_python(_PUBLIC_NAMES, first) == "ok\n"
+
+
+@pytest.mark.parametrize("command, code", [
+    (["search", "--query", "quake"], 0),
+    (["search", "--query", "quake", "--top", "-1"], 1),
+    (["analyze", "--query", "nomatch", "--field", "journal", "--out", "n"], 2),
+], ids=["search", "refused", "too-few-entities"])
+def test_module_run_exits_with_mains_code(tmp_path, capsys, monkeypatch, command, code):
+    # python -m lotkarank.cli, as the benchmark runs each command, exits with what main returns
+    monkeypatch.chdir(tmp_path)
+    argv = [command[0], "--index", str(_indexed_tiny(tmp_path)), *command[1:]]
+    capsys.readouterr()
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    done = _run_fresh("-m", "lotkarank.cli", *argv)
+    assert (done.returncode, done.stdout, done.stderr) == (code, captured.out, captured.err)
 
 
 def test_eval_command_combined_k0_matches_tfidf_on_field_bearing_docs(tmp_path):

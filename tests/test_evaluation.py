@@ -7,6 +7,7 @@ from oracle import is_relevant, naive_rerank, naive_search, overlap_at_k, precis
 from lotkarank import evaluation
 from lotkarank.evaluation import (
     PRECISION_CUTOFFS,
+    EvalReport,
     TopicMetrics,
     parse_qrels,
     parse_topics,
@@ -192,6 +193,7 @@ def test_run_evaluation_single_topic_single_mode():
     suite = make_topic_suite(n_topics=1, docs_per_topic=12, star_docs=5, seed=5)
     index = build_index(suite.records)
     report = run_evaluation(index, suite.topics, suite.judgments, [RankingConfig(mode=Mode.TFIDF)])
+    assert type(report) is EvalReport
     assert [run.tag for run in report.runs] == ["tfidf"]
     assert report.topic_ids == ["t001"]
     metrics = report.runs[0].per_topic["t001"]

@@ -327,6 +327,9 @@ def test_save_load_round_trip(tmp_path):
     index.save(path)
     loaded = InvertedIndex.load(path)
     assert loaded == index
+    # an index compares unequal to any other type, as Python's fallback decides
+    assert index.__eq__(object()) is NotImplemented
+    assert index != object()
     assert search(query, loaded).entries == search(query, index).entries
     assert same_ranking(search(query, loaded), search(query, index))
     assert not same_ranking(search(query, loaded, query_id="other"), search(query, index))
