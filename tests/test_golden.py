@@ -152,8 +152,10 @@ def _bad_inputs():
     }
     for name in _BAD_INDEXES:
         Path(name).write_bytes(indexes[name])
-    # outputs that cannot be written: a directory, a FIFO, and a path in a missing directory
+    # outputs that cannot be written: a directory, a FIFO, and a path in a missing directory;
+    # ev.lotka.run is the last run file of a default-mode eval with --out ev
     os.mkdir("adir")
+    os.mkdir("ev.lotka.run")
     os.mkfifo("fifo")
     # inputs named like a command's own output: analyze's <out>.csv and eval's <out>.report.csv
     Path("a.csv").write_bytes(b"not an index\n")
@@ -223,6 +225,7 @@ def _refused_commands():
     yield ["rerank", *on, "--mode", "combined", "--field", "author", "--k", "inf", "--out", "bad.run"]
     for out in ("c.idx", "adir", "fifo", "nodir/bad.run"):
         yield ["rerank", *on, "--mode", "brad", "--out", out]
+    yield ["eval", "--index", "c.idx", "--topics", "topics.tsv", "--qrels", "qrels.txt", "--out", "ev"]
     # an output that is one of the command's inputs
     yield ["index", "--corpus", "corpus.jsonl", "--out", "corpus.jsonl"]
     yield ["analyze", "--index", "a.csv", "--query", "w001", "--field", "journal", "--out", "a"]
