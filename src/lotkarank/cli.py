@@ -134,17 +134,15 @@ def _cmd_eval(args) -> int:
         for name in mode_names
     ]
     reports = [f"{args.out}.report.csv", f"{args.out}.report.txt"]
-    run_files = [f"{args.out}.{config.run_tag}.run" for config in configs]  # report.runs follow configs
-    _refuse_inputs_as_outputs(reports + run_files,
+    run_paths = [f"{args.out}.{config.run_tag}.run" for config in configs]  # report.runs follow configs
+    _refuse_inputs_as_outputs(reports + run_paths,
                               {"--index": args.index, "--topics": args.topics, "--qrels": args.qrels})
     index = InvertedIndex.load(args.index)
     topics = load_topics(args.topics)
     qrels = load_qrels(args.qrels)
 
     report = run_evaluation(index, topics, qrels, configs)
-    write_report(report, *reports)
-    for run, path in zip(report.runs, run_files):
-        write_run_file(run.ranked, path)
+    write_report(report, *reports, run_paths)
     print(f"topics={len(topics)} runs={len(configs)} report={reports[0]}")
     return 0
 

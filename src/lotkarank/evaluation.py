@@ -15,7 +15,7 @@ import numpy as np
 from .corpus import open_text
 from .index import InvertedIndex, ResultSet, search
 from .output import write_files
-from .rerank import rerank
+from .rerank import rerank, run_files
 
 PRECISION_CUTOFFS = (5, 10, 20, 30, 100)
 OVERLAP_K = 10
@@ -236,7 +236,11 @@ def report_table(report: EvalReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report(report: EvalReport, csv_path, table_path):
-    """Write report_csv to csv_path and report_table to table_path, both or neither (see output.write_files)."""
-    write_files([(csv_path, report_csv(report).encode("utf-8")),
-                 (table_path, report_table(report).encode("utf-8"))])
+def write_report(report: EvalReport, csv_path, table_path, run_paths):
+    """Write report_csv, report_table and each run's run file to run_paths (in report.runs order), all or none.
+
+    One output.write_files call commits them, so a ValueError (a run_paths count that is not the runs'
+    count, or a query id or tag with whitespace) or an OSError before any rename leaves none written.
+    """
+    write_files([(csv_path, report_csv(report).encode("utf-8")), (table_path, report_table(report).encode("utf-8")),
+                 *run_files(zip(run_paths, [run.ranked for run in report.runs], strict=True))])

@@ -1,10 +1,11 @@
 """Output files written whole or not at all.
 
-Every file a lotkarank command writes (index, run files, eval reports,
-analyze CSVs) goes through ``write_files``: the bytes go to temporary
-files beside their paths, renamed onto them only once all are written. A
-command that fails while writing leaves no truncated file, and a file
-that was already there keeps its old contents.
+Every lotkarank command commits all its outputs (the index, a run file,
+eval's reports and run files, analyze's CSVs) in one ``write_files``
+call: the bytes go to temporary files beside their paths, renamed onto
+them only once all are written. A command that fails while writing
+leaves no truncated file, and a file that was already there keeps its
+old contents.
 """
 import errno
 import os

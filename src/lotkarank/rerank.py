@@ -169,17 +169,18 @@ def _run_text(ranked: ResultSet, ranks: list[str]) -> str:
     return "".join(parts)
 
 
-def write_run_file(ranked_lists, path):
-    """Write one run file covering any number of ranked lists (one per topic), all or nothing.
+def run_files(runs):
+    """The (path, bytes) pair of the run file of each (path, ranked lists) pair, for output.write_files.
 
-    Each entry is one standard 6-column line, query_id Q0 doc_id rank score
-    tag, with the score to 6 decimals; the lists follow each other in the
-    order given. ValueError, and no file, if a query id or tag is empty or
-    holds whitespace. The file is written whole or not at all (see
-    output.write_files) and exists when this returns.
+    Each entry of a list is one 6-column line, query_id Q0 doc_id rank score
+    tag, the score to 6 decimals; a file's lists follow each other in the
+    order given. ValueError if a query id or tag is empty or holds whitespace.
     """
-    ranked_lists = list(ranked_lists)
-    longest = max((ranked.set_size for ranked in ranked_lists), default=0)
-    ranks = [f" {rank}" for rank in range(1, longest + 1)]
-    text = "".join(_run_text(ranked, ranks) for ranked in ranked_lists)
-    write_files([(path, text.encode("utf-8"))])
+    runs = [(path, list(ranked_lists)) for path, ranked_lists in runs]
+    ranks = [f" {rank}" for rank in range(1, max([r.set_size for _, lists in runs for r in lists], default=0) + 1)]
+    return [(path, "".join(_run_text(ranked, ranks) for ranked in lists).encode("utf-8")) for path, lists in runs]
+
+
+def write_run_file(ranked_lists, path):
+    """Write run_files' file of ranked_lists (one per topic) to path, whole or not at all (see output.write_files)."""
+    write_files(run_files([(path, ranked_lists)]))

@@ -576,11 +576,6 @@ def _writing_command(tmp_path, command, out_dir):
             [out_dir / "s.csv", out_dir / "s.loglog.csv"])
 
 
-# how many files each write_files call of a command commits, in write order: eval
-# commits its two reports together, then each run file on its own
-_COMMIT_SIZES = {"rerank": [1], "eval": [2, 1, 1], "analyze": [2]}
-
-
 def _contents(directory):
     return {path.name: path.read_bytes() for path in directory.iterdir()}
 
@@ -623,7 +618,6 @@ def test_output_files_are_all_or_nothing(tmp_path, capsys, monkeypatch, command,
             path.unlink()
     before = _contents(tmp_path)
     real_replace = os.replace
-    ends = list(itertools.accumulate(_COMMIT_SIZES[command]))
     for k in range(1, len(outputs) + 1):  # fail the k-th temporary-file write, or the k-th rename
         calls = itertools.count(1)
         if fault == "write":
@@ -640,9 +634,9 @@ def test_output_files_are_all_or_nothing(tmp_path, capsys, monkeypatch, command,
             assert captured.err == "error: No space left on device\n"
         else:  # names the output, not the temporary file
             assert captured.err == f"error: [Errno {errno.ENOSPC}] No space left on device: '{outputs[k - 1]}'\n"
-        # the files of earlier write_files calls are committed; a failed write commits none of its
-        # own call, a failed rename those before it. No temporary file is left, older ones unchanged
-        committed = max([end for end in ends if end < k], default=0) if fault == "write" else k - 1
+        # a command commits its files in one write_files call: a failed write commits none of
+        # them, a failed rename those before it. No temporary file is left, older ones unchanged
+        committed = 0 if fault == "write" else k - 1
         assert _contents(tmp_path) == {**before, **{path.name: data for path, data in zip(outputs[:committed], fresh)}}
         for path in outputs[:committed]:
             path.unlink()
@@ -653,7 +647,7 @@ def test_output_files_are_all_or_nothing(tmp_path, capsys, monkeypatch, command,
 @pytest.mark.parametrize("command", ["index", "rerank", "eval", "analyze"])
 def test_output_onto_a_fifo_is_refused(tmp_path, capsys, command):
     argv, outputs = _writing_command(tmp_path, command, tmp_path)
-    fifo = outputs[:2][-1]  # the last file of the first write_files call
+    fifo = outputs[-1]  # the last file of the command's one write_files call
     os.mkfifo(fifo)
     before = sorted(tmp_path.iterdir())
     capsys.readouterr()
@@ -701,11 +695,14 @@ def test_output_in_missing_directory_names_the_path(tmp_path, capsys, command):
 @pytest.mark.parametrize("command", ["index", "rerank", "eval", "analyze"])
 def test_output_onto_a_directory_names_the_path(tmp_path, capsys, command):
     argv, outputs = _writing_command(tmp_path, command, tmp_path)
-    outputs[0].mkdir()
-    capsys.readouterr()
-    assert main(argv) == 1
-    assert capsys.readouterr().err == f"error: [Errno {errno.EISDIR}] Is a directory: '{outputs[0]}'\n"
-    assert not list(tmp_path.glob("*.tmp"))
+    for directory in {outputs[0], outputs[-1]}:  # the first and the last file the command writes
+        directory.mkdir()
+        before = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: [Errno {errno.EISDIR}] Is a directory: '{directory}'\n")
+        assert sorted(tmp_path.iterdir()) == before  # no file of the command, no temporary file
+        directory.rmdir()
 
 
 def _overflow_fixture(tmp_path):

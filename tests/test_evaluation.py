@@ -14,10 +14,12 @@ from lotkarank.evaluation import (
     report_csv,
     report_table,
     run_evaluation,
+    write_report,
 )
+from lotkarank.corpus import DocumentRecord
 from lotkarank.index import build_index, search
 from lotkarank.informetrics import EntityField
-from lotkarank.rerank import MissingPolicy, Mode, RankingConfig
+from lotkarank.rerank import MissingPolicy, Mode, RankingConfig, write_run_file
 
 
 def _qrels(topic_id, relevant, judged_irrelevant=()):
@@ -378,6 +380,48 @@ def test_report_table_lists_all_runs():
     assert "tfidf" in table and "brad" in table
     assert "p@100" in table
     assert "tfidf vs brad" in table
+
+
+# --- write_report ----------------------------------------------------------
+
+_MODES = [RankingConfig(mode=Mode.TFIDF), RankingConfig(mode=Mode.BRADFORD), RankingConfig(mode=Mode.LOTKA)]
+
+
+def _uneven_report(topics):
+    """run_evaluation under _MODES on an index where quake, flood and zzz retrieve 5, 2 and 0 documents."""
+    records = [DocumentRecord(doc_id=f"d{i}", title="quake " * i, authors=[f"A{i % 2}"] if i < 4 else [],
+                              journal_issn="1111-1111" if i < 3 else None) for i in range(1, 6)]
+    records += [DocumentRecord(doc_id=f"d{i}", title="flood", authors=["A1"], journal_issn="2222-2222")
+                for i in (6, 7)]
+    return run_evaluation(build_index(records), topics, {}, _MODES)
+
+
+def test_write_report_writes_each_run_file_as_write_run_file_does(tmp_path):
+    report = _uneven_report({"t1": "flood", "t2": "quake", "t3": "zzz"})
+    # the lists differ in length within each run and across runs, so each file uses
+    # a different share of the rank strings built for the longest list
+    assert [[ranked.set_size for ranked in run.ranked] for run in report.runs] == [[2, 5, 0], [2, 2, 0], [2, 3, 0]]
+    run_paths = [tmp_path / f"e.{run.tag}.run" for run in report.runs]
+    write_report(report, tmp_path / "e.report.csv", tmp_path / "e.report.txt", run_paths)
+    assert (tmp_path / "e.report.csv").read_text(encoding="utf-8") == report_csv(report)
+    assert (tmp_path / "e.report.txt").read_text(encoding="utf-8") == report_table(report)
+    for run, path in zip(report.runs, run_paths):
+        write_run_file(run.ranked, tmp_path / "alone.run")
+        assert path.read_bytes() == (tmp_path / "alone.run").read_bytes()
+    assert len(list(tmp_path.iterdir())) == 2 + len(run_paths) + 1  # and alone.run: no temporary file left
+
+
+def test_write_report_refusal_writes_no_file(tmp_path):
+    # a dict topic id is not parsed, so one holding whitespace reaches the run-file text
+    report = _uneven_report({"t1": "quake", "a b": "flood"})
+    reports = [tmp_path / "e.report.csv", tmp_path / "e.report.txt"]
+    run_paths = [tmp_path / f"e.{run.tag}.run" for run in report.runs]
+    with pytest.raises(ValueError) as info:
+        write_report(report, *reports, run_paths)
+    assert str(info.value) == "run file query id must be one word without whitespace, got 'a b'"
+    with pytest.raises(ValueError):  # one run path short
+        write_report(_uneven_report({"t1": "quake"}), *reports, run_paths[:-1])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_helpers_round_trip_through_parsers():
