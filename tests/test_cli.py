@@ -695,7 +695,7 @@ def test_output_in_missing_directory_names_the_path(tmp_path, capsys, command):
 @pytest.mark.parametrize("command", ["index", "rerank", "eval", "analyze"])
 def test_output_onto_a_directory_names_the_path(tmp_path, capsys, command):
     argv, outputs = _writing_command(tmp_path, command, tmp_path)
-    for directory in {outputs[0], outputs[-1]}:  # the first and the last file the command writes
+    for directory in dict.fromkeys([outputs[0], outputs[-1]]):  # the first and the last file the command writes
         directory.mkdir()
         before = sorted(tmp_path.iterdir())
         capsys.readouterr()
