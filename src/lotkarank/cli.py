@@ -2,8 +2,18 @@
 
 Subcommands: index, search, rerank, eval, analyze. All outputs are
 deterministic; the exit code is 0 iff every requested output was written.
+
+The console script and ``python -m lotkarank.cli`` both enter through
+run(), which freezes the collector before main(). After the imports the
+collector tracks about 21k objects, and each of the interpreter's full
+collections at shutdown would pass over them: about 15 ms of a one-shot
+command. Frozen, they are skipped, and so cyclic garbage among them is
+no longer collected, at exit or before. No output relies on that: every
+file is closed by ``with`` or written by output.write_files.
+main() leaves the collector alone, so library callers are unaffected.
 """
 import argparse
+import gc
 import os
 import sys
 
@@ -181,5 +191,16 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> int:
+    """The process entry: main() after gc.freeze() (see the module docstring).
+
+    The freeze saves the shutdown collections' passes over the import-time
+    objects, about 15 ms; those objects are no longer collected as cyclic
+    garbage. No gc.collect() comes first, as that is the pass being saved.
+    """
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -1,5 +1,6 @@
 import codecs
 import errno
+import gc
 import io
 import itertools
 import math
@@ -427,20 +428,71 @@ def test_public_names_are_the_defining_modules_objects(first):
     assert _fresh_python(_PUBLIC_NAMES, first) == "ok\n"
 
 
-@pytest.mark.parametrize("command, code", [
-    (["search", "--query", "quake"], 0),
-    (["search", "--query", "quake", "--top", "-1"], 1),
-    (["analyze", "--query", "nomatch", "--field", "journal", "--out", "n"], 2),
-], ids=["search", "refused", "too-few-entities"])
-def test_module_run_exits_with_mains_code(tmp_path, capsys, monkeypatch, command, code):
-    # python -m lotkarank.cli, as the benchmark runs each command, exits with what main returns
-    monkeypatch.chdir(tmp_path)
-    argv = [command[0], "--index", str(_indexed_tiny(tmp_path)), *command[1:]]
+# every subcommand, and one refusal with each nonzero code: (command line, exit code, files written)
+_EVERY_COMMAND = {
+    "index": ("index --corpus {corpus} --out new.idx", 0, ["new.idx"]),
+    "search": ("search --index {index} --query quake", 0, []),
+    "rerank": ("rerank --index {index} --query quake --mode combined --field author --out q.run", 0, ["q.run"]),
+    "eval": ("eval --index {index} --topics {topics} --qrels {qrels} --modes tfidf,brad,lotka,combined "
+             "--field journal --out exp", 0,
+             [f"exp.{suffix}" for suffix in ("brad.run", "combined_k1.0.run", "lotka.run",
+                                             "report.csv", "report.txt", "tfidf.run")]),
+    "analyze": ("analyze --index {index} --query quake --field author --out s", 0, ["s.csv", "s.loglog.csv"]),
+    "refused": ("search --index {index} --query quake --top -1", 1, []),
+    "too-few-entities": ("analyze --index {index} --query nomatch --field journal --out n", 2, []),
+}
+
+
+@pytest.mark.parametrize("command", _EVERY_COMMAND)
+def test_module_run_exits_with_mains_code(tmp_path, capsys, monkeypatch, command):
+    # python -m lotkarank.cli, as the benchmark runs each command, exits with what main returns,
+    # prints what it prints and writes the same bytes; main itself never freezes the caller's collector
+    idx, topics, qrels = _eval_fixture(tmp_path)
+    line, code, written = _EVERY_COMMAND[command]
+    inputs = {"corpus": tmp_path / "corpus.jsonl", "index": idx, "topics": topics, "qrels": qrels}
+    argv = [arg.format(**inputs) for arg in line.split()]
+    in_main, in_module = tmp_path / "main", tmp_path / "module"
+    in_main.mkdir()
+    in_module.mkdir()
+    monkeypatch.chdir(in_main)
     capsys.readouterr()
+    frozen = gc.get_freeze_count()
     assert main(argv) == code
+    assert gc.get_freeze_count() == frozen
     captured = capsys.readouterr()
+    monkeypatch.chdir(in_module)
     done = _run_fresh("-m", "lotkarank.cli", *argv)
     assert (done.returncode, done.stdout, done.stderr) == (code, captured.out, captured.err)
+    assert sorted(_contents(in_main)) == written
+    assert _contents(in_module) == _contents(in_main)
+
+
+# runs lotkarank.cli as python -m does, then prints the freeze counts before and at its exit
+_RUN_AS_MAIN = """
+import gc, runpy, sys
+before = gc.get_freeze_count()
+try:
+    runpy.run_module("lotkarank.cli", run_name="__main__")
+except SystemExit as exc:
+    print(before, exc.code, gc.get_freeze_count())
+"""
+
+
+def test_process_entry_freezes_the_collector(tmp_path):
+    # the module's entry freezes what the imports made, so the full collections at shutdown skip it
+    stdout = _fresh_python(_RUN_AS_MAIN, "search", "--index", _indexed_tiny(tmp_path), "--query", "quake")
+    before, code, frozen = stdout.splitlines()[-1].split()
+    assert (before, code) == ("0", "0")
+    assert int(frozen) > 0
+
+
+def test_console_script_enters_through_run():
+    # the installed lotkarank and python -m lotkarank.cli share one entry. The table is read as
+    # text: tomllib is Python 3.11+, and the package supports 3.10
+    pyproject = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "pyproject.toml")
+    with open(pyproject, encoding="utf-8") as file:
+        table = file.read().split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert table.split() == ["lotkarank", "=", '"lotkarank.cli:run"']
 
 
 def test_eval_command_combined_k0_matches_tfidf_on_field_bearing_docs(tmp_path):
