@@ -427,36 +427,42 @@ def build_index(docs) -> InvertedIndex:
                          author_names, author_counts, author_codes)
 
 
-def descending(values) -> np.ndarray:
-    """The indices that sort values descending, equal values keeping their index order.
+def descending(values, ids) -> tuple[np.ndarray, np.ndarray]:
+    """The ids ordered by value, descending, equal values keeping ids order, and their values.
 
-    Positive float64 values, which search passes, take one sort of packed
-    keys: a positive float64 orders as its bits do, so each key is the
-    value's complemented bits with the low w bits, w = (n - 1).bit_length(),
-    replaced by its index. The keys are distinct, so the order does not
-    depend on the sort's stability or algorithm. Values that agree in all
-    but their low w bits come out in index order, which is wrong if they
+    ids are ascending and non-negative, and values holds each id's value at
+    the id, so the ordered values are one gather, values[order], which both
+    the check below and the caller read.
+
+    float64 values, which search passes (all positive), take one sort of
+    packed keys: a positive float64 orders as its bits do, so each key is
+    the value's complemented bits with the low w bits, w = the bit length of
+    the largest id, replaced by the id. The keys are distinct, so the order
+    does not depend on the sort's stability or algorithm. Values that agree
+    in all but their low w bits come out in id order, which is wrong if they
     differ; so the order is kept only if the values come out non-increasing
-    (then equal values, whose keys differ only in the index, are in index
-    order too).
+    and the last is positive: then all are positive, and equal values, whose
+    keys differ only in the id, are in id order too.
 
-    Other input, such as analyze's int64 tallies, and the rare positive
-    set that fails that check, take a stable argsort of the negated values.
+    Other input, such as analyze's int64 tallies, and the rare set that
+    fails that check, take a stable argsort of the negated values.
     """
-    n = len(values)
-    if values.dtype == np.float64 and n and values.min() > 0.0:
-        # uint64 scalars and arange throughout: numpy 1.x promotes uint64 with int64 to float64
-        low = np.uint64((1 << (n - 1).bit_length()) - 1)  # the bits that hold an index
-        keys = np.invert(values.view(np.uint64))
+    own = values[ids]
+    if own.dtype == np.float64 and len(ids):
+        # uint64 scalars and ids throughout: numpy 1.x promotes uint64 with int64 to float64
+        low = np.uint64((1 << int(ids[-1]).bit_length()) - 1)  # the bits that hold an id
+        keys = np.invert(own.view(np.uint64))
         keys &= ~low
-        keys |= np.arange(n, dtype=np.uint64)
+        keys |= ids.astype(np.uint64)
         keys.sort()
         keys &= low
-        order = keys.view(np.int64)  # the masked keys are below n
+        order = keys.view(np.int64)  # the masked keys are ids
         ranked = values[order]
-        if (ranked[1:] <= ranked[:-1]).all():
-            return order
-    return np.argsort(-values, kind="stable")
+        # a 0.0, negative or NaN value would be last or break the run (NaN compares false)
+        if ranked[-1] > 0.0 and (ranked[1:] <= ranked[:-1]).all():
+            return order, ranked
+    order = ids[np.argsort(-own, kind="stable")]
+    return order, values[order]
 
 
 def search(query: str, index: InvertedIndex, query_id: str = "q") -> ResultSet:
@@ -476,8 +482,7 @@ def search(query: str, index: InvertedIndex, query_id: str = "q") -> ResultSet:
     # gives int64 zeros, hence the cast
     scores = np.bincount(np.concatenate(docs), np.concatenate(weights),
                          minlength=index.corpus_size).astype(np.float64, copy=False)
-    positions = np.flatnonzero(scores > 0.0)
     # score desc with ties in position order, and positions follow doc_id
     # order, so this is (score desc, doc_id asc)
-    order = positions[descending(scores[positions])]
-    return ResultSet(query_id=query_id, positions=order, scores=scores[order], doc_id_table=index._doc_ids)
+    positions, ranked = descending(scores, np.flatnonzero(scores > 0.0))
+    return ResultSet(query_id=query_id, positions=positions, scores=ranked, doc_id_table=index._doc_ids)

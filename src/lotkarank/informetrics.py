@@ -59,8 +59,8 @@ def entity_frequencies(rs: ResultSet, field: EntityField, index: InvertedIndex) 
 
 def _ranked_entities(table: EntityFrequencyTable) -> list[tuple[str, int]]:
     """(entity, count) pairs, count desc; equal counts keep code order, which is name order."""
-    seen = np.flatnonzero(table.tally)
-    return table._named(seen[descending(table.tally[seen])])
+    codes, _ = descending(table.tally, np.flatnonzero(table.tally))
+    return table._named(codes)
 
 
 def rank_frequency_series(table: EntityFrequencyTable) -> list[tuple[int, int]]:

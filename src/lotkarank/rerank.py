@@ -10,7 +10,8 @@ order (score desc, doc_id asc), so one stable sort on the frequency
 gives every mode (ef desc, tf-idf desc, doc_id asc), field-missing
 documents last; brad/lotka stop there. Combined scores each distinct
 (ef, tf-idf) pair once, ranks the pairs' scores and orders the
-documents with one sort of integer keys, pair rank then position.
+documents with one sort of the narrowest unsigned keys, pair rank then
+position.
 Every strategy returns a ResultSet over the same index, so a re-ranked
 list is the same type as the tf-idf set it came from.
 """
@@ -136,13 +137,17 @@ def rerank(rs: ResultSet, config: RankingConfig, index: InvertedIndex) -> Result
         raise _out_of_range(config.k, "underflow to 0")
     # (score desc, doc_id asc): only the pairs' scores are ranked, and equal scores of
     # different pairs share a rank. One sort of rank << shift | position then orders
-    # the documents; the keys are distinct, so the sort need not be stable.
+    # the documents; the keys are distinct, so the sort need not be stable. They are
+    # sorted in the narrowest unsigned type that holds them, which sorts faster than
+    # int64 (max(..., 1): with no keys the type must still hold the position mask)
     negated, rank = np.unique(-scores, return_inverse=True)
     shift = (index.corpus_size - 1).bit_length()
     keys = rank[np.cumsum(first) - 1] << shift | positions
+    keys = keys.astype(np.min_scalar_type((max(len(negated), 1) << shift) - 1))
     keys.sort()
-    return replace(rs, positions=keys & ((1 << shift) - 1), scores=-negated[keys >> shift],
-                   tag=config.run_tag, dropped=n - len(by_ef))
+    positions = (keys & ((1 << shift) - 1)).astype(np.intp)
+    return replace(rs, positions=positions, scores=-negated[keys >> shift], tag=config.run_tag,
+                   dropped=n - len(by_ef))
 
 
 def _run_text(ranked: ResultSet, ranks: list[str]) -> str:

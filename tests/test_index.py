@@ -169,6 +169,15 @@ def test_search_no_indexed_tokens_gives_empty_set():
         assert result.scores.dtype == np.float64 and result.scores.shape == (0,)
 
 
+def test_search_types_a_nonempty_set_as_an_empty_one():
+    # the empty set's types (test above) hold for a set with one score and with several
+    index = build_index([_doc("d1", "a"), _doc("d2", "a a b"), _doc("d3", "b"), _doc("d4", "c")])
+    for query in ("a b", "a"):
+        result = search(query, index)
+        assert result.set_size > 0
+        assert result.positions.dtype == np.intp and result.scores.dtype == np.float64
+
+
 def test_search_breaks_ties_by_doc_id():
     index = build_index([_doc("d2", "t"), _doc("d1", "t"), _doc("d3", "other")])
     result = search("t", index)
@@ -198,19 +207,56 @@ _ABOVE_ONE, _BELOW_ONE = np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)  # 1.0's
     (np.concatenate([[_ABOVE_ONE], np.full(2**15, 1.0)]), "keys"),
     (np.array([3, 1, 3, 2, 1, 0], dtype=np.int64), "argsort"),  # analyze's tallies
     (np.array([2.0, -1.0, 0.0, -0.0, 2.0, 0.0]), "argsort"),  # not positive: 0.0 and -0.0 tie
+    # the keys put -0.0 before the 0.0s it equals, so the values come out non-increasing but
+    # out of index order: the last value, not positive, sends them to the stable argsort
+    (np.array([0.0, -0.0, 0.0]), "argsort"),
     (np.array([2.0, np.nan, 1.0]), "argsort"),
 ], ids=["empty", "one", "all-equal", "many-ties", "many-positive-ties", "70k-positive", "70k-distinct",
         "neighbours", "2**15-neighbours", "neighbours-in-order", "2**15-neighbours-in-order",
-        "int64-tallies", "signed-zeros", "nan"])
+        "int64-tallies", "signed-zeros", "signed-zeros-non-increasing", "nan"])
 def test_descending_equals_stable_argsort_of_negated_values(values, path, monkeypatch):
+    _check_descending(values, np.arange(len(values)), path, monkeypatch)
+
+
+def _check_descending(values, ids, path, monkeypatch):
+    """descending over values held at their ids (0 elsewhere, as search's scores) equals
+    ids[np.argsort(-values, kind="stable")] and took the path named."""
+    table = np.zeros(int(ids[-1]) + 1 if len(ids) else 0, dtype=values.dtype)
+    table[ids] = values
     argsorted = []  # the key path never calls np.argsort; the spy is off before the oracle's call
     argsort = np.argsort
     with monkeypatch.context() as patch:
         patch.setattr(np, "argsort", lambda *args, **kwargs: argsorted.append(args) or argsort(*args, **kwargs))
-        order = descending(values)
+        order, ranked = descending(table, ids)
     assert order.dtype == np.intp
-    assert np.array_equal(order, np.argsort(-values, kind="stable"))
+    assert np.array_equal(order, ids[np.argsort(-values, kind="stable")])
+    assert ranked.dtype == values.dtype and np.array_equal(ranked, table[order], equal_nan=True)
     assert ("argsort" if argsorted else "keys") == path
+
+
+_ONE_PLUS_4 = np.int64(np.array(1.0).view(np.int64) + 4).view(np.float64)  # 1.0 but for bit 2
+_ONE_PLUS_2_16 = np.int64(np.array(1.0).view(np.int64) + 2**16).view(np.float64)  # 1.0 but for bit 16
+_SPARSE = np.array([0, 5, 9, 300])  # an index into 4 ids needs 2 bits, the largest id, 300, needs 9
+
+
+# sparse ascending ids: the keys give the low bits of the largest id's bit length, more than
+# an index into the values would need, to the id, so values that differ only in those extra
+# bits tie in their keys and come out in id order
+@pytest.mark.parametrize("values, ids, path", [
+    # the larger value has the higher id: the keys put it after a 1.0, the check catches it
+    (np.array([1.0, _ONE_PLUS_4, 3.0, 1.0]), _SPARSE, "argsort"),
+    # the larger value has the lowest id of its tie: the key order is right and kept
+    (np.array([_ONE_PLUS_4, 3.0, 1.0, 1.0]), _SPARSE, "keys"),
+    # 2**15 + 1 values, 16 index bits, even ids up to 2**16 (17 bits)
+    (np.concatenate([np.full(2**15, 1.0), [_ONE_PLUS_2_16]]), np.arange(0, 2**16 + 1, 2), "argsort"),
+    (np.concatenate([[_ONE_PLUS_2_16], np.full(2**15, 1.0)]), np.arange(0, 2**16 + 1, 2), "keys"),
+    # ties and distinct values, the largest id 2**17
+    (np.array([0.5, 2.0, 0.25, 2.0]), np.array([1, 2, 2**12, 2**17]), "keys"),
+    (np.array([3, 1, 3, 2], dtype=np.int64), _SPARSE, "argsort"),  # analyze's tallies
+], ids=["bit-2-neighbours", "bit-2-neighbours-in-order", "bit-16-neighbours", "bit-16-neighbours-in-order",
+        "id-2**17", "int64-tallies"])
+def test_descending_with_sparse_ids_equals_stable_argsort(values, ids, path, monkeypatch):
+    _check_descending(values, ids, path, monkeypatch)
 
 
 def test_search_excludes_zero_scores():

@@ -79,7 +79,23 @@ def near_values(draw):
 @settings(derandomize=True, deadline=None, max_examples=500)
 @given(near_values())
 def test_descending_equals_stable_argsort_of_near_values(values):
-    assert np.array_equal(descending(values), np.argsort(-values, kind="stable"))
+    order, ranked = descending(values, np.arange(len(values)))
+    assert np.array_equal(order, np.argsort(-values, kind="stable"))
+    assert np.array_equal(ranked, values[order])
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(near_values(), st.data())
+def test_descending_with_sparse_ids_equals_stable_argsort_of_near_values(values, data):
+    # gaps up to 2**12: the largest id needs more bits than an index into the values, so
+    # values a few ulps apart tie in their keys more often than in the test above
+    gaps = data.draw(st.lists(st.integers(1, 2**12), min_size=len(values), max_size=len(values)))
+    ids = np.cumsum(gaps, dtype=np.intp) - 1
+    table = np.zeros(int(ids[-1]) + 1 if len(ids) else 0)
+    table[ids] = values
+    order, ranked = descending(table, ids)
+    assert np.array_equal(order, ids[np.argsort(-values, kind="stable")])
+    assert np.array_equal(ranked, table[order])
 
 
 # any text, with the characters str.lower and the token pattern treat specially drawn

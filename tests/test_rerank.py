@@ -374,8 +374,11 @@ def test_rerank_matches_brute_force_oracle():
 
 
 def test_rerank_of_an_empty_result_set(tmp_path):
-    # every mode, field and missing policy: nothing to rank, nothing dropped, typed arrays
-    index, rs = _indexed([("d1", 0, ["Ada"], "1111-1111"), ("d2", 1, [], None)], query="absent")
+    # every mode, field and missing policy: nothing to rank, nothing dropped, typed arrays.
+    # Over 128 documents: combined's key type must hold the position mask, 255 here, even
+    # with no keys
+    padding = [(f"p{i:03d}", 0, [], None) for i in range(200)]
+    index, rs = _indexed([("d1", 0, ["Ada"], "1111-1111"), ("d2", 1, [], None), *padding], query="absent")
     assert rs.set_size == 0
     for mode, field, policy in itertools.product(Mode, EntityField, MissingPolicy):
         if (mode, field) in ((Mode.BRADFORD, EntityField.AUTHOR), (Mode.LOTKA, EntityField.JOURNAL)):
@@ -386,6 +389,57 @@ def test_rerank_of_an_empty_result_set(tmp_path):
         path = tmp_path / f"{mode.value}-{field.value}-{policy.value}.run"
         write_run_file([ranked], path)
         assert path.read_bytes() == b""
+
+
+def _wide_keys_records():
+    """601 records whose combined re-ranks of "shared" have over 64 distinct scores.
+
+    Journal and author j each hold j + 1 of the 600 matching documents (34
+    of each, 34 distinct frequencies), in two different document orders; 5
+    documents have no journal and 5 no author. The extra tf cycles through
+    13 values, so the (ef, tf-idf) pairs number in the hundreds. The last
+    record matches nothing.
+    """
+    names = [j for j in range(34) for _ in range(j + 1)] + [None] * 5
+    records = [DocumentRecord(doc_id=f"d{i:03d}", title="shared", body=" ".join(["shared"] * (i % 13)),
+                              journal_issn=None if journal is None else f"{journal:04d}-0000",
+                              authors=[] if names[i * 7 % 600] is None else [f"A{names[i * 7 % 600]}"])
+               for i, journal in enumerate(names)]
+    return records + [DocumentRecord(doc_id="zfill", title="padding")]
+
+
+def test_combined_keys_wider_than_16_bits_match_brute_force():
+    # the keys are rank << shift | position, with a 10-bit shift for 601 documents: over 64
+    # distinct scores take them past 65535, from uint16 to uint32
+    records = _wide_keys_records()
+    index = build_index(records)
+    rs, naive_entries = search("shared", index), naive_search(records, "shared")
+    shift = (index.corpus_size - 1).bit_length()
+    for field, policy, k in itertools.product(EntityField, MissingPolicy, (1.5, -0.5)):
+        ranked = rerank(rs, RankingConfig(mode=Mode.COMBINED, field=field, k=k, missing_policy=policy), index)
+        assert np.min_scalar_type((len(set(ranked.scores.tolist())) << shift) - 1) == np.uint32
+        expected, dropped = naive_rerank(records, naive_entries, "combined", field.value, k, policy.value)
+        assert ranked.doc_ids() == [doc_id for doc_id, _, _ in expected]
+        assert ranked.scores.tolist() == [score for _, score, _ in expected]
+        assert ranked.dropped == dropped
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["narrow-keys", "wide-keys"])
+def test_rerank_of_a_nonempty_result_set_keeps_its_types(wide):
+    # every mode, field and missing policy: positions stay intp and scores float64, whatever
+    # type a re-rank sorts its keys in
+    if wide:
+        index = build_index(_wide_keys_records())
+        rs = search("shared", index)
+    else:
+        index, rs = _indexed([("d1", 0, ["Ada"], "1111-1111"), ("d2", 1, [], None), ("d3", 2, ["Bo"], "1111-1111")])
+    assert rs.set_size > 0
+    for mode, field, policy in itertools.product(Mode, EntityField, MissingPolicy):
+        if (mode, field) in ((Mode.BRADFORD, EntityField.AUTHOR), (Mode.LOTKA, EntityField.JOURNAL)):
+            continue
+        ranked = rerank(rs, RankingConfig(mode=mode, field=field, k=2.0, missing_policy=policy), index)
+        assert ranked.set_size > 0
+        assert ranked.positions.dtype == np.intp and ranked.scores.dtype == np.float64
 
 
 def test_run_lines_format(tmp_path):
